@@ -5,14 +5,10 @@ Feeds a 10k-offer synthetic stream through the micro-batched
 strategy the one-shot pipeline supports (re-synthesizing the accumulated
 stream after every batch), asserting the engine's contract:
 
-* process-pool engine >= 2.5x faster than the looped pipeline (the
-  stream is feed-ordered since ISSUE 2, so clusters grow across batches
-  and the engine re-fuses them repeatedly — a harder workload than the
-  product-adjacent stream PR 1's >= 3x was calibrated on);
-* serial and parallel executors produce byte-identical products;
+* the engine is >= 2.5x faster than the looped pipeline (the stream is
+  feed-ordered, so clusters grow across batches and the engine re-fuses
+  them repeatedly — a harder workload than a product-adjacent stream);
 * engine products match the monolithic pipeline run exactly;
-* the delta re-fusion protocol ships measurably fewer offers to process
-  workers than full-state shipping (ISSUE 2 tentpole);
 * multi-node clusters (1/2/4 thread nodes over a shared store, ISSUE 3
   tentpole) reproduce the single engine's catalog byte-identically and
   partition the ingest work near-linearly (scaling bound on per-node
@@ -87,7 +83,6 @@ def test_bench_runtime_throughput(benchmark):
         runtime_bench.run,
         num_offers=STREAM_OFFERS,
         num_batches=STREAM_BATCHES,
-        executor="process",
         num_shards=8,
         harness=harness,
     )
@@ -102,16 +97,6 @@ def test_bench_runtime_throughput(benchmark):
     # the feed-ordered stream (see module docstring; PR 1 asserted 3x on
     # the easier product-adjacent ordering).
     assert result.speedup >= 2.5
-    # The ISSUE 2 tentpole claim: the delta protocol cuts process-executor
-    # per-batch payloads vs. full-state shipping.  Offer counts are
-    # deterministic (unlike wall-clock), so the guard is exact.
-    assert result.offers_shipped_full is not None
-    assert result.offers_shipped_delta is not None
-    assert result.offers_shipped_delta < result.offers_shipped_full
-    assert result.delta_payload_ratio <= 0.75, (
-        f"delta protocol shipped {result.offers_shipped_delta} offers vs "
-        f"{result.offers_shipped_full} full-state — expected a >= 25% cut"
-    )
     # Regression guard: compare against the committed BENCH_runtime.json.
     committed_throughput = committed.get("engine_offers_per_second")
     if committed_throughput:
@@ -120,31 +105,6 @@ def test_bench_runtime_throughput(benchmark):
             f"{result.engine_offers_per_second:.1f} offers/s now vs "
             f"{committed_throughput:.1f} committed"
         )
-
-
-def test_bench_runtime_executor_parity(benchmark):
-    """Serial vs parallel engines produce byte-identical products."""
-    harness = ExperimentHarness(CorpusPreset.SMALL.config(seed=2011))
-    _ = harness.unmatched_offers
-    _ = harness.offline_result
-    _ = harness.category_classifier
-
-    def run_all_executors():
-        fingerprints = {}
-        for executor in ("serial", "thread", "process"):
-            result = runtime_bench.run(
-                num_offers=1_000,
-                num_batches=5,
-                executor=executor,
-                num_shards=4,
-                harness=harness,
-            )
-            assert result.products_identical
-            fingerprints[executor] = result.num_products
-        return fingerprints
-
-    fingerprints = run_once(benchmark, run_all_executors)
-    assert fingerprints["serial"] == fingerprints["thread"] == fingerprints["process"]
 
 
 def test_bench_runtime_multinode_scaling(benchmark):
@@ -169,7 +129,6 @@ def test_bench_runtime_multinode_scaling(benchmark):
         runtime_bench.run_multinode,
         num_offers=STREAM_OFFERS,
         num_batches=STREAM_BATCHES,
-        executor="process",
         num_shards=16,
         harness=harness,
         node_counts=(1, 2, 4),
@@ -205,8 +164,7 @@ def test_bench_runtime_metrics_overhead(benchmark):
     and with a live registry.  Runs alternate and each side keeps its
     best-of-three, so machine noise hits both equally; the guard then
     bounds the *relative* cost of recording metrics, which is what the
-    <5% acceptance criterion is about.  Serial execution keeps process-
-    pool spin-up out of the measurement.
+    <5% acceptance criterion is about.
     """
     harness = ExperimentHarness(CorpusPreset.SMALL.config(seed=2011))
     _ = harness.unmatched_offers
@@ -220,7 +178,6 @@ def test_bench_runtime_metrics_overhead(benchmark):
             result = runtime_bench.run(
                 num_offers=1_000,
                 num_batches=5,
-                executor="serial",
                 num_shards=4,
                 harness=harness,
             )
@@ -270,7 +227,6 @@ def test_bench_runtime_sqlite_store(benchmark, tmp_path):
         fresh = runtime_bench.run(
             num_offers=1_000,
             num_batches=5,
-            executor="process",
             num_shards=4,
             harness=harness,
             store="sqlite",
@@ -282,7 +238,6 @@ def test_bench_runtime_sqlite_store(benchmark, tmp_path):
         resumed = runtime_bench.run(
             num_offers=1_000,
             num_batches=5,
-            executor="process",
             num_shards=4,
             harness=harness,
             store="sqlite",

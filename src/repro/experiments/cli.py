@@ -16,8 +16,7 @@ Run only Table 2 and Figure 8 on the default (larger) preset::
 Run the streaming-runtime throughput benchmark (see
 :mod:`repro.experiments.runtime_bench`) and write ``BENCH_runtime.json``::
 
-    repro-synthesize runtime-bench --offers 10000 --executor process \
-        --json BENCH_runtime.json
+    repro-synthesize runtime-bench --offers 10000 --json BENCH_runtime.json
 
 Exercise the durable catalog store, then resume the same stream::
 
@@ -161,14 +160,6 @@ def _parse_runtime_bench_args(argv: Sequence[str]) -> argparse.Namespace:
         "--batches", type=int, default=10, help="micro-batches (default: 10)"
     )
     parser.add_argument(
-        "--executor",
-        choices=["serial", "thread", "process"],
-        default=None,
-        help="engine shard executor (default: process; with --processes "
-        "it is the executor INSIDE each node process, default serial — "
-        "'process' is invalid there, daemonic nodes cannot spawn pools)",
-    )
-    parser.add_argument(
         "--shards", type=int, default=8, help="category shards (default: 8)"
     )
     parser.add_argument(
@@ -254,12 +245,6 @@ def _parse_runtime_bench_args(argv: Sequence[str]) -> argparse.Namespace:
                 "--processes shares state through the SQLite WAL file; "
                 "--store memory cannot back a multi-process cluster"
             )
-        if args.executor == "process":
-            parser.error(
-                "--executor process cannot run inside node processes "
-                "(daemonic nodes cannot spawn worker pools); with "
-                "--processes use --executor serial or thread"
-            )
         # Process nodes share state through the WAL file only.
         args.store = "sqlite"
     if args.store is None:
@@ -268,8 +253,6 @@ def _parse_runtime_bench_args(argv: Sequence[str]) -> argparse.Namespace:
         parser.error("--resume requires --store sqlite")
     if args.store_path is not None and args.store != "sqlite":
         parser.error("--store-path requires --store sqlite (or --processes)")
-    if args.executor is None:
-        args.executor = "serial" if args.processes > 1 else "process"
     if args.store == "sqlite" and args.store_path is None:
         args.store_path = "BENCH_catalog.sqlite3"
     if args.store_path is not None:
@@ -296,7 +279,6 @@ def _run_runtime_bench(argv: Sequence[str]) -> int:
         result = runtime_bench.run_multinode(
             num_offers=args.offers,
             num_batches=args.batches,
-            executor=args.executor,
             num_shards=args.shards,
             seed=args.seed,
             store=args.store,
@@ -314,7 +296,6 @@ def _run_runtime_bench(argv: Sequence[str]) -> int:
     result = runtime_bench.run(
         num_offers=args.offers,
         num_batches=args.batches,
-        executor=args.executor,
         num_shards=args.shards,
         seed=args.seed,
         store=args.store,

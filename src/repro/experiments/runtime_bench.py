@@ -11,13 +11,7 @@ must have an up-to-date set of synthesized products.
   every offer seen so far (O(total) work per batch, O(n·batches) overall).
 * **Engine** — :class:`~repro.runtime.SynthesisEngine` ingests each batch
   incrementally (O(batch) work per batch), re-fusing only the clusters
-  the batch touched, with sharded execution and memoised text statistics.
-
-For a process-pool executor the engine run is measured twice: once with
-the delta re-fusion protocol (workers keep shard-resident cluster state,
-batches ship only new offers) and once with full-state shipping (every
-touched cluster re-pickled per batch, the pre-delta behaviour), so the
-payload cut is visible in the report (``offers_shipped_*``).
+  the batch touched, with memoised text statistics and fusion.
 
 Both sides see identical pre-extracted offers and produce identical
 products (asserted), so the comparison is purely about work avoided.
@@ -32,14 +26,13 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.corpus.config import CorpusPreset
 from repro.experiments.harness import ExperimentHarness
 from repro.model.products import Product, product_fingerprint
 from repro.obs import get_registry
 from repro.runtime import MultiNodeEngine, MultiProcessEngine, SynthesisEngine
-from repro.runtime.executors import ShardExecutor
 from repro.synthesis.pipeline import ProductSynthesisPipeline
 from repro.text.memo import clear_text_caches
 
@@ -52,7 +45,6 @@ class RuntimeBenchResult:
 
     num_offers: int
     num_batches: int
-    executor: str
     num_shards: int
     seed: int
     #: Catalog store backend the engine ran against ("memory"/"sqlite").
@@ -68,13 +60,6 @@ class RuntimeBenchResult:
     #: Whether engine and baseline products are byte-identical.
     products_identical: bool
     category_vocabulary: Dict[str, int] = field(default_factory=dict)
-    #: Engine time with delta re-fusion disabled (process executors only).
-    full_ship_seconds: Optional[float] = None
-    #: Offers shipped to workers with the delta protocol / full shipping.
-    offers_shipped_delta: Optional[int] = None
-    offers_shipped_full: Optional[int] = None
-    #: Clusters process workers resynced from the durable store.
-    worker_resyncs: int = 0
     #: Whether the engine resumed a previously persisted stream.
     resumed: bool = False
     #: ``MetricsRegistry.snapshot()`` taken right after the engine run
@@ -95,19 +80,11 @@ class RuntimeBenchResult:
             return float("inf")
         return self.num_offers / self.engine_seconds
 
-    @property
-    def delta_payload_ratio(self) -> Optional[float]:
-        """Delta-shipped offers over full-shipped offers (lower is better)."""
-        if not self.offers_shipped_full or self.offers_shipped_delta is None:
-            return None
-        return self.offers_shipped_delta / self.offers_shipped_full
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable summary (written to ``BENCH_runtime.json``)."""
         payload: Dict[str, object] = {
             "num_offers": self.num_offers,
             "num_batches": self.num_batches,
-            "executor": self.executor,
             "num_shards": self.num_shards,
             "seed": self.seed,
             "store": self.store,
@@ -119,19 +96,9 @@ class RuntimeBenchResult:
             "num_products": self.num_products,
             "products_identical": self.products_identical,
             "num_categories": len(self.category_vocabulary),
-            "worker_resyncs": self.worker_resyncs,
             "resumed": self.resumed,
+            "metrics": self.metrics,
         }
-        if self.full_ship_seconds is not None:
-            payload["full_ship_seconds"] = round(self.full_ship_seconds, 4)
-        if self.offers_shipped_delta is not None:
-            payload["offers_shipped_delta"] = self.offers_shipped_delta
-        if self.offers_shipped_full is not None:
-            payload["offers_shipped_full"] = self.offers_shipped_full
-        ratio = self.delta_payload_ratio
-        if ratio is not None:
-            payload["delta_payload_ratio"] = round(ratio, 4)
-        payload["metrics"] = self.metrics
         return payload
 
     def write_json(self, path: str) -> None:
@@ -146,7 +113,7 @@ class RuntimeBenchResult:
             "Runtime throughput benchmark (streaming engine vs looped pipeline)",
             f"  stream: {self.num_offers:,} offers in {self.num_batches} micro-batches "
             f"(seed {self.seed})",
-            f"  engine: {self.num_shards} shards, {self.executor} executor, "
+            f"  engine: {self.num_shards} shards, "
             f"{self.store} store" + (" (resumed)" if self.resumed else ""),
             f"  looped pipeline : {self.baseline_seconds:8.2f}s "
             f"(re-synthesizes the accumulated stream per batch)",
@@ -158,18 +125,6 @@ class RuntimeBenchResult:
             f"  products        : {self.num_products:,} "
             f"(identical: {self.products_identical})",
         ]
-        if self.full_ship_seconds is not None:
-            lines.append(
-                f"  full shipping   : {self.full_ship_seconds:8.2f}s "
-                f"(delta protocol disabled)"
-            )
-        ratio = self.delta_payload_ratio
-        if ratio is not None:
-            lines.append(
-                f"  delta payloads  : {self.offers_shipped_delta:,} offers shipped "
-                f"vs {self.offers_shipped_full:,} full-state "
-                f"({100.0 * (1.0 - ratio):.0f}% cut)"
-            )
         return "\n".join(lines)
 
 
@@ -193,7 +148,6 @@ def _remove_sqlite_files(path: str) -> None:
 def run(
     num_offers: int = 10_000,
     num_batches: int = 10,
-    executor: Union[str, ShardExecutor] = "process",
     num_shards: int = 8,
     seed: int = 2011,
     harness: Optional[ExperimentHarness] = None,
@@ -210,7 +164,7 @@ def run(
         least this many unmatched offers (then truncated to exactly it).
     num_batches:
         Micro-batches the stream is split into.
-    executor, num_shards:
+    num_shards:
         Engine configuration.
     seed:
         Corpus seed.
@@ -244,7 +198,7 @@ def run(
     # streams are *merchant feeds*, so the same product's offers arrive
     # spread across batches.  A stable sort by merchant reproduces that
     # (each batch ≈ a few merchants' feeds) and is what makes clusters
-    # grow across batches — the case the re-fusion protocols differ on.
+    # grow across batches — the case incremental re-fusion exists for.
     # Deterministic, and every measured side sees the identical stream.
     offers = sorted(offers, key=lambda offer: offer.merchant_id)
     batches = _batches(offers, num_batches)
@@ -257,31 +211,6 @@ def run(
             extractor=harness.extractor,
             category_classifier=harness.category_classifier,
         )
-
-    def run_engine(
-        engine_store: str,
-        engine_store_path: Optional[str],
-        delta_refusion: Optional[bool],
-    ) -> Tuple[float, List[Product], SynthesisEngine]:
-        """Time one engine configuration over the shared batch stream."""
-        clear_text_caches()
-        engine = SynthesisEngine(
-            catalog=harness.corpus.catalog,
-            correspondences=harness.offline_result.correspondences,
-            extractor=harness.extractor,
-            category_classifier=harness.category_classifier,
-            num_shards=num_shards,
-            executor=executor,
-            store=engine_store,
-            store_path=engine_store_path,
-            delta_refusion=delta_refusion,
-        )
-        start = time.perf_counter()
-        for batch in batches:
-            engine.ingest(batch)
-        products = engine.products()
-        seconds = time.perf_counter() - start
-        return seconds, products, engine
 
     # -- baseline: keep products current by re-running the one-shot pipeline
     clear_text_caches()
@@ -304,44 +233,32 @@ def run(
     # -- engine: incremental ingest of the same stream
     if store == "sqlite" and not resume:
         _remove_sqlite_files(store_path)  # type: ignore[arg-type]
-    engine_seconds, engine_products, engine = run_engine(store, store_path, None)
+    clear_text_caches()
+    engine = SynthesisEngine(
+        catalog=harness.corpus.catalog,
+        correspondences=harness.offline_result.correspondences,
+        extractor=harness.extractor,
+        category_classifier=harness.category_classifier,
+        num_shards=num_shards,
+        store=store,
+        store_path=store_path,
+    )
+    start = time.perf_counter()
+    for batch in batches:
+        engine.ingest(batch)
+    engine_products = engine.products()
+    engine_seconds = time.perf_counter() - start
     snapshot = engine.snapshot()
-    transport = engine.transport_stats()
-    # Taken before close() — close detaches the engine's transport
-    # bridge, and the comparison run below must not leak in.
     metrics_snapshot = registry.snapshot()
     engine.close()
-
-    # -- comparison: same engine with the delta protocol disabled
-    # (full-state shipping), for executors that support delta at all.
-    full_ship_seconds: Optional[float] = None
-    offers_shipped_delta: Optional[int] = None
-    offers_shipped_full: Optional[int] = None
-    full_ship_products: Optional[List[Product]] = None
-    if getattr(engine._executor, "supports_pinning", False):
-        full_store_path = None if store_path is None else store_path + ".fullship"
-        if full_store_path is not None:
-            _remove_sqlite_files(full_store_path)
-        full_ship_seconds, full_ship_products, full_engine = run_engine(
-            store, full_store_path, False
-        )
-        offers_shipped_delta = transport.offers_shipped
-        offers_shipped_full = full_engine.transport_stats().offers_shipped
-        full_engine.close()
-        if full_store_path is not None:
-            _remove_sqlite_files(full_store_path)
 
     fingerprint = _product_fingerprint(engine_products)
     identical = fingerprint == _product_fingerprint(baseline_products) and (
         fingerprint == _product_fingerprint(single_pass_products)
     )
-    if full_ship_products is not None:
-        identical = identical and fingerprint == _product_fingerprint(full_ship_products)
-    executor_name = executor if isinstance(executor, str) else executor.name
     return RuntimeBenchResult(
         num_offers=len(offers),
         num_batches=len(batches),
-        executor=executor_name,
         num_shards=num_shards,
         seed=seed,
         store=store,
@@ -351,10 +268,6 @@ def run(
         num_products=len(engine_products),
         products_identical=identical,
         category_vocabulary=snapshot.category_vocabulary,
-        full_ship_seconds=full_ship_seconds,
-        offers_shipped_delta=offers_shipped_delta,
-        offers_shipped_full=offers_shipped_full,
-        worker_resyncs=transport.worker_resyncs,
         resumed=resume,
         metrics=metrics_snapshot,
     )
@@ -388,7 +301,6 @@ class MultiNodeRun:
     #: Offers routed to each node, in node-id order.
     node_offers: List[int] = field(default_factory=list)
     products_identical: bool = False
-    worker_resyncs: int = 0
     #: Single-engine wall seconds over this run's wall seconds (in
     #: ``mode="processes"`` the nodes genuinely run on separate cores,
     #: so this measures realised — not just available — scaling).
@@ -418,7 +330,6 @@ class MultiNodeRun:
             "scaling_bound": round(self.scaling_bound, 3),
             "node_offers": list(self.node_offers),
             "products_identical": self.products_identical,
-            "worker_resyncs": self.worker_resyncs,
         }
         if self.wall_speedup is not None:
             payload["wall_speedup"] = round(self.wall_speedup, 3)
@@ -431,7 +342,6 @@ class MultiNodeBenchResult:
 
     num_offers: int
     num_batches: int
-    executor: str
     num_shards: int
     seed: int
     store: str
@@ -468,7 +378,6 @@ class MultiNodeBenchResult:
         return {
             "num_offers": self.num_offers,
             "num_batches": self.num_batches,
-            "executor": self.executor,
             "num_shards": self.num_shards,
             "seed": self.seed,
             "store": self.store,
@@ -495,7 +404,7 @@ class MultiNodeBenchResult:
             f"Multi-node runtime benchmark ({flavour} nodes over a shared store)",
             f"  stream: {self.num_offers:,} offers in {self.num_batches} micro-batches "
             f"(seed {self.seed})",
-            f"  cluster: {self.num_shards} shards, {self.executor} executor per node, "
+            f"  cluster: {self.num_shards} shards, "
             f"{self.store} store, {self.mode} mode",
             f"  single engine   : {self.single_engine_seconds:8.2f}s",
         ]
@@ -522,7 +431,6 @@ class MultiNodeBenchResult:
 def run_multinode(
     num_offers: int = 10_000,
     num_batches: int = 10,
-    executor: Union[str, ShardExecutor, None] = None,
     num_shards: int = 8,
     seed: int = 2011,
     harness: Optional[ExperimentHarness] = None,
@@ -539,9 +447,8 @@ def run_multinode(
     feed-ordered stream the single-engine benchmark uses.
 
     ``mode="threads"`` builds :class:`MultiNodeEngine` clusters (shared
-    store mirror, per-node ``executor``); sub-batches are dispatched
-    sequentially so each node's busy time is measured contention-free,
-    and the *scaling bound* — total work over the critical path — is
+    store mirror); sub-batches are dispatched sequentially so each
+    node's busy time is measured contention-free, and the *scaling bound* — total work over the critical path — is
     the machine-independent headline (wall-clock through one shared
     mirror measures core count, not partitioning quality).
 
@@ -549,13 +456,10 @@ def run_multinode(
     :class:`~repro.runtime.procnode.MultiProcessEngine` clusters: one
     OS process per node over a shared SQLite WAL file (``store_path``
     required; each node count runs against its own ``.procN`` file).
-    ``executor`` then selects the engine executor *inside* each node —
-    ``None`` defaults to ``"serial"`` there (and to ``"process"`` in
-    threads mode); ``"process"`` is rejected, daemonic node processes
-    cannot spawn worker pools.  Here the per-run ``wall_speedup``
-    against the serial single engine *is* realised multi-core scaling —
-    on a multi-core box it approaches the scaling bound; on fewer cores
-    the bound still reports the parallelism available.
+    Here the per-run ``wall_speedup`` against the single engine *is*
+    realised multi-core scaling — on a multi-core box it approaches the
+    scaling bound; on fewer cores the bound still reports the
+    parallelism available.
 
     After the first micro-batch each cluster rebalances by observed
     load: the deterministic modulo layout ignores category skew, and the
@@ -587,30 +491,16 @@ def run_multinode(
     offers = sorted(offers, key=lambda offer: offer.merchant_id)
     batches = _batches(offers, num_batches)
 
-    # Process nodes are the parallelism themselves: their engines run
-    # serial executors by default (and never process pools — daemonic
-    # nodes cannot spawn workers); the single-engine reference uses the
-    # same executor, the honest one-process baseline for realised
-    # wall-clock scaling.
-    if executor is None:
-        executor = "serial" if mode == "processes" else "process"
-    if mode == "processes" and (
-        executor == "process" or getattr(executor, "supports_pinning", False)
-    ):
-        raise ValueError(
-            "mode='processes' cannot use a process-pool executor inside the "
-            "node processes; pass executor='serial' or 'thread'"
-        )
     pipeline_kwargs = dict(
         catalog=harness.corpus.catalog,
         correspondences=harness.offline_result.correspondences,
         extractor=harness.extractor,
         category_classifier=harness.category_classifier,
     )
-    engine_kwargs = dict(num_shards=num_shards, executor=executor, **pipeline_kwargs)
-
     clear_text_caches()
-    single = SynthesisEngine(**engine_kwargs)
+    # The single engine is the honest one-process baseline for realised
+    # wall-clock scaling: node processes are the only parallelism.
+    single = SynthesisEngine(num_shards=num_shards, **pipeline_kwargs)
     start = time.perf_counter()
     for batch in batches:
         single.ingest(batch)
@@ -622,7 +512,6 @@ def run_multinode(
     result = MultiNodeBenchResult(
         num_offers=len(offers),
         num_batches=len(batches),
-        executor=executor if isinstance(executor, str) else executor.name,
         num_shards=num_shards,
         seed=seed,
         store="sqlite" if mode == "processes" else store,
@@ -643,7 +532,6 @@ def run_multinode(
             cluster = MultiProcessEngine(
                 num_nodes=num_nodes,
                 num_shards=num_shards,
-                node_executor=executor,
                 store_path=cluster_path,
                 pipeline_depth=pipeline_depth,
                 hint_routing=hint_routing,
@@ -652,11 +540,12 @@ def run_multinode(
         else:
             cluster = MultiNodeEngine(
                 num_nodes=num_nodes,
+                num_shards=num_shards,
                 store=store,
                 store_path=cluster_path,
                 pipeline_depth=pipeline_depth,
                 hint_routing=hint_routing,
-                **engine_kwargs,
+                **pipeline_kwargs,
             )
         start = time.perf_counter()
         for position, batch in enumerate(batches):
@@ -692,7 +581,6 @@ def run_multinode(
                 hint_accuracy=transport.hint_accuracy,
                 node_offers=[stats.offers_routed for stats in node_stats],
                 products_identical=_product_fingerprint(products) == reference,
-                worker_resyncs=transport.worker_resyncs,
                 # Realised scaling is only meaningful when the nodes
                 # genuinely run concurrently (their own processes);
                 # thread-mode dispatch here is sequential by design.

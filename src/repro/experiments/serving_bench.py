@@ -243,12 +243,7 @@ def _mixed_run(
     clear_text_caches()
     if store == "sqlite":
         _remove_sqlite_files(store_path)  # type: ignore[arg-type]
-    engine = _engine(
-        harness,
-        executor="serial",
-        store=store,
-        store_path=store_path,
-    )
+    engine = _engine(harness, store=store, store_path=store_path)
     # Memory backend: feed-driven service (same process, commit feed).
     # SQLite backend: reader-driven service over the live WAL file — a
     # second connection querying concurrently with the writer.
@@ -351,7 +346,7 @@ def run(
     clear_text_caches()
     if store == "sqlite":
         _remove_sqlite_files(store_path)  # type: ignore[arg-type]
-    engine = _engine(harness, executor="serial", store=store, store_path=store_path)
+    engine = _engine(harness, store=store, store_path=store_path)
     service = CatalogSearchService.from_engine(engine, index_backend=index_backend)
     build_start = time.perf_counter()
     for batch in batches:
@@ -592,7 +587,7 @@ def _closed_loop_phase(
     """
     registry = get_registry()
     registry.clear()
-    writer = _engine(harness, executor="serial", store="sqlite", store_path=store_path)
+    writer = _engine(harness, store="sqlite", store_path=store_path)
     if mode == "fleet":
         target = ServingFleet.from_store_path(
             store_path,
@@ -741,7 +736,7 @@ def run_fleet(
 
     clear_text_caches()
     _remove_sqlite_files(store_path)
-    engine = _engine(harness, executor="serial", store="sqlite", store_path=store_path)
+    engine = _engine(harness, store="sqlite", store_path=store_path)
     for batch in build_batches:
         engine.ingest(batch)
     products = engine.products()

@@ -1,13 +1,15 @@
 """High-throughput batched runtime for the offer-synthesis pipeline.
 
 The paper's Run-Time Offer Processing Pipeline (Figure 4) absorbs
-continuous merchant feeds; this package provides the executor that makes
-that practical at scale:
+continuous merchant feeds; this package provides the runtime that makes
+that practical at scale.  There is one parallelism story: node
+processes (``procnode``), each hosting one serial engine.
 
 ``engine``
     :class:`~repro.runtime.engine.SynthesisEngine` — a sharded,
     micro-batched, incrementally clustering wrapper around the pipeline
-    stages.  Feed it a stream with repeated ``ingest(offers)`` calls.
+    stages.  Feed it a stream with repeated ``ingest(offers)`` calls;
+    touched clusters are re-fused in one in-process loop.
 ``cluster``
     Horizontal scaling: a :class:`~repro.runtime.cluster.ShardCoordinator`
     partitions category shards across N engine nodes over one shared
@@ -28,13 +30,6 @@ that practical at scale:
     :class:`~repro.runtime.state.CatalogStore` protocol with an
     in-memory backend (zero-copy default) and a durable WAL-mode SQLite
     backend (per-ingest commits, snapshot/restore across restarts).
-``delta``
-    The delta re-fusion protocol: process workers keep shard-resident
-    cluster state and receive only new offers per batch, resyncing from
-    the store when they restart or fall behind.
-``executors``
-    Pluggable shard executors (serial / thread pool / process pool) with
-    identical outputs and different wall-clock profiles.
 ``sharding``
     Stable (cross-process deterministic) category sharding.
 """
@@ -46,16 +41,10 @@ from repro.runtime.cluster import (
     NodeStats,
     ShardCoordinator,
     ShardLease,
+    TransportStats,
 )
-from repro.runtime.delta import TransportStats
 from repro.runtime.procnode import MultiProcessEngine, NodeDeadError, ProcessNode
 from repro.runtime.engine import CommitEvent, EngineSnapshot, IngestReport, SynthesisEngine
-from repro.runtime.executors import (
-    ProcessPoolShardExecutor,
-    SerialExecutor,
-    ThreadPoolShardExecutor,
-    resolve_executor,
-)
 from repro.runtime.sharding import partition_by_shard, shard_for_category
 from repro.runtime.state import CatalogStore, ClusterState, StaleEpochError, resolve_store
 from repro.runtime.store import MemoryCatalogStore, SqliteCatalogStore
@@ -75,10 +64,6 @@ __all__ = [
     "LoadSkewWatcher",
     "NodeStats",
     "StaleEpochError",
-    "SerialExecutor",
-    "ThreadPoolShardExecutor",
-    "ProcessPoolShardExecutor",
-    "resolve_executor",
     "partition_by_shard",
     "shard_for_category",
     "CatalogStore",

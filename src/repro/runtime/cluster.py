@@ -1,7 +1,7 @@
 """Multi-node shard coordination with per-shard version fencing.
 
-One :class:`~repro.runtime.engine.SynthesisEngine` scales vertically
-(sharded executors); this module scales it *horizontally*: a
+One :class:`~repro.runtime.engine.SynthesisEngine` fuses its shards in
+one in-process loop; this module scales it *horizontally*: a
 :class:`ShardCoordinator` partitions the category shards across N engine
 nodes that cooperate over one shared :class:`~repro.runtime.state.CatalogStore`
 — the paper's catalog-at-web-scale scenario, with the authoritative
@@ -9,8 +9,7 @@ state kept in a single fenced store and only compact per-batch deltas
 moving between processes.
 
 The safety mechanism is **epoch fencing**.  Every shard carries a
-monotonic *epoch* in the store (distinct from the delta protocol's
-per-dispatch *version* counter): granting a shard to a node bumps the
+monotonic *epoch* in the store: granting a shard to a node bumps the
 epoch, and the grant — a :class:`ShardLease` — records the epoch the
 node was given.  Every cluster write a node issues travels through its
 :class:`FencedStoreView`, carries the leased epoch, and is checked
@@ -25,13 +24,11 @@ raises :class:`~repro.runtime.state.StaleEpochError`.
 the owning nodes (category -> shard -> node), and handles membership:
 
 * **join** (:meth:`MultiNodeEngine.add_node`) — the coordinator
-  rebalances; moved shards get fresh epochs and the new node's workers
-  resync cluster state through the existing delta protocol (from the
-  durable store, or via a one-time full re-ship).
+  rebalances; moved shards get fresh epochs and the new node reads their
+  cluster state from the shared store.
 * **leave** (:meth:`MultiNodeEngine.remove_node`) — drain (ingest is a
   batch barrier, so the node is quiescent between batches and its state
-  already lives in the shared store), reassign with fresh epochs, release
-  the node's workers.
+  already lives in the shared store), reassign with fresh epochs.
 * **crash** (:meth:`MultiNodeEngine.fence_node`, or automatic when a
   node dies mid-batch) — the store is rolled back to the last commit
   barrier, the dead node's epochs are fenced, its shards are reassigned,
@@ -52,7 +49,7 @@ import itertools
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.extraction.extractor import WebPageAttributeExtractor
@@ -61,9 +58,7 @@ from repro.model.catalog import Catalog
 from repro.model.offers import Offer
 from repro.model.products import Product
 from repro.obs import get_registry
-from repro.runtime.delta import TransportStats
 from repro.runtime.engine import EngineSnapshot, IngestReport, SynthesisEngine
-from repro.runtime.executors import ShardExecutor
 from repro.runtime.sharding import shard_for_category
 from repro.runtime.state import (
     CatalogStore,
@@ -85,6 +80,7 @@ __all__ = [
     "CategoryHinter",
     "LoadSkewWatcher",
     "NodeStats",
+    "TransportStats",
     "MultiNodeEngine",
     "ProcessNode",
     "MultiProcessEngine",
@@ -145,10 +141,6 @@ class FencedStoreView(CatalogStore):
         self._lease = lease
         self._lock = lock if lock is not None else threading.RLock()
         self._deferred_commit = deferred_commit
-        # The delta protocol keys worker-resident caches on the token:
-        # views must share the base store's generation, or every node
-        # restart would needlessly orphan worker state.
-        self.token = base.token
         self.name = f"fenced-{base.name}"
         self._num_shards = base.num_shards
 
@@ -233,10 +225,6 @@ class FencedStoreView(CatalogStore):
     def closed(self) -> bool:
         """Whether the shared base store can no longer accept writes."""
         return self._base.closed
-
-    def worker_resync_path(self) -> Optional[str]:
-        """The base store's durable resync location (or ``None``)."""
-        return self._base.worker_resync_path()
 
     # -- changed-cluster commit journal (delegated) ----------------------------
     # Mutations delegate to the base store, so the touched-cluster set —
@@ -366,18 +354,7 @@ class FencedStoreView(CatalogStore):
         with self._lock:
             return self._base.reconciliation_stats()
 
-    # -- shard versions / epochs -----------------------------------------------
-
-    def shard_version(self, shard_index: int) -> int:
-        """The delta-protocol version counter of one shard."""
-        with self._lock:
-            return self._base.shard_version(shard_index)
-
-    def advance_shard_version(self, shard_index: int) -> Tuple[int, int]:
-        """Bump an owned shard's version counter (epoch-checked)."""
-        with self._lock:
-            self._check_shard(shard_index)
-            return self._base.advance_shard_version(shard_index)
+    # -- shard epochs ----------------------------------------------------------
 
     def shard_epoch(self, shard_index: int) -> int:
         """The authoritative fencing epoch of one shard."""
@@ -484,8 +461,8 @@ class ShardCoordinator:
         they still spread.  Deterministic: ties break on shard index and
         node id.  Every shard that changes owner is re-fenced exactly as
         in a membership change, so in-flight holders are cut off and the
-        new owner's workers resync through the delta protocol.  Returns
-        the new assignment.
+        new owner reads the shard's state from the store.  Returns the
+        new assignment.
         """
         nodes = self.nodes()
         bins = {node_id: 0.0 for node_id in nodes}
@@ -709,6 +686,111 @@ class LoadSkewWatcher:
 
 
 @dataclass
+class TransportStats:
+    """Cumulative pipe-frame and hint-routing accounting of a coordinator.
+
+    The frame counters measure the multi-process pipe protocol
+    (:mod:`repro.runtime.procnode`); the hint counters measure how often
+    a :class:`CategoryHinter` guess sent an offer to the wrong node.
+    """
+
+    #: Pipe-protocol frames a cluster coordinator sent to its nodes.
+    frames_sent: int = 0
+    #: Pipe-protocol frames a cluster coordinator received from nodes.
+    frames_received: int = 0
+    #: Serialized payload bytes of the sent frames.
+    frame_bytes_sent: int = 0
+    #: Serialized payload bytes of the received frames.
+    frame_bytes_received: int = 0
+    #: Offers whose routing hint pointed at the wrong node and that were
+    #: re-shipped to their true owner at the classification barrier.
+    misrouted_offers: int = 0
+    #: Offers that were hint-routed at all (misrouted or not); the
+    #: denominator of :attr:`hint_accuracy`.
+    hinted_offers: int = 0
+
+    @property
+    def hint_accuracy(self) -> Optional[float]:
+        """Fraction of hint-routed offers whose hint was correct.
+
+        ``None`` when hint routing never ran (no denominator).  An
+        accuracy that degrades over a stream is the signal to retrain or
+        widen the hinter's vote table, *before* misroute re-ships start
+        dominating transport.
+        """
+        if self.hinted_offers == 0:
+            return None
+        return 1.0 - self.misrouted_offers / self.hinted_offers
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-compatible summary."""
+        payload: Dict[str, object] = asdict(self)
+        payload["hint_accuracy"] = self.hint_accuracy
+        return payload
+
+    def merge(self, other: "TransportStats") -> None:
+        """Fold another accounting's counters into this one (plain sums)."""
+        for item in fields(self):
+            setattr(self, item.name, getattr(self, item.name) + getattr(other, item.name))
+
+    def metrics_fragment(self, labels: Optional[Dict[str, str]] = None) -> Dict[str, object]:
+        """This accounting as a :mod:`repro.obs` snapshot fragment.
+
+        The registry *reads through* this object instead of
+        double-writing it: cluster coordinators register a provider that
+        calls this, so ``registry.snapshot()`` and ``/metrics`` expose
+        the same counters ``transport_stats()`` reports.
+        """
+        from repro.obs import series_key, snapshot_fragment
+
+        counters: Dict[str, float] = {}
+        families: Dict[str, Dict[str, str]] = {}
+        for name, (family, help_text) in _TRANSPORT_FAMILIES.items():
+            value = getattr(self, name)
+            if value:
+                counters[series_key(family, labels)] = float(value)
+                families[family] = {"type": "counter", "help": help_text}
+        gauges: Dict[str, float] = {}
+        accuracy = self.hint_accuracy
+        if accuracy is not None:
+            gauges[series_key("routing_hint_accuracy", labels)] = accuracy
+            families["routing_hint_accuracy"] = {
+                "type": "gauge",
+                "help": "Fraction of hint-routed offers whose hint was correct.",
+            }
+        return snapshot_fragment(counters=counters, gauges=gauges, families=families)
+
+
+#: TransportStats field -> (metric family, help text).
+_TRANSPORT_FAMILIES: Dict[str, Tuple[str, str]] = {
+    "frames_sent": (
+        "pipe_frames_sent_total",
+        "Pipe-protocol frames sent to cluster node processes.",
+    ),
+    "frames_received": (
+        "pipe_frames_received_total",
+        "Pipe-protocol frames received from node processes.",
+    ),
+    "frame_bytes_sent": (
+        "pipe_frame_bytes_sent_total",
+        "Serialized payload bytes of sent pipe frames.",
+    ),
+    "frame_bytes_received": (
+        "pipe_frame_bytes_received_total",
+        "Serialized payload bytes of received pipe frames.",
+    ),
+    "misrouted_offers": (
+        "routing_misrouted_offers_total",
+        "Hint-routed offers re-homed at the classify barrier.",
+    ),
+    "hinted_offers": (
+        "routing_hinted_offers_total",
+        "Offers routed via category hints at all.",
+    ),
+}
+
+
+@dataclass
 class NodeStats:
     """Per-node accounting of one :class:`MultiNodeEngine`."""
 
@@ -769,8 +851,7 @@ class MultiNodeEngine:
         Dispatch the per-node sub-batches on one thread per node instead
         of sequentially.  Store access is serialised by the cluster lock
         either way, and the product set is identical — concurrency only
-        overlaps the nodes' compute (which pays off when nodes run
-        process executors, whose fusion work leaves the interpreter).
+        overlaps the nodes' compute.
     auto_recover:
         When a node raises mid-batch and the store supports rollback,
         roll back to the commit barrier, fence the node, reassign its
@@ -799,9 +880,6 @@ class MultiNodeEngine:
         the coordinator thread; the knob exists so equivalence tests
         can pin the routing protocol itself against coordinator-side
         classification.
-
-    The ``executor`` argument is built *per node* when given as a name,
-    so ``executor="process"`` gives every node its own worker pool.
     """
 
     def __init__(
@@ -815,12 +893,9 @@ class MultiNodeEngine:
         min_cluster_size: int = 1,
         num_nodes: int = 2,
         num_shards: int = 8,
-        executor: Union[str, ShardExecutor, None] = "serial",
-        max_workers: Optional[int] = None,
         track_category_statistics: bool = True,
         store: Union[str, CatalogStore, None] = None,
         store_path: Optional[str] = None,
-        delta_refusion: Optional[bool] = None,
         concurrent: bool = False,
         auto_recover: bool = True,
         auto_rebalance_skew: Optional[float] = None,
@@ -843,10 +918,7 @@ class MultiNodeEngine:
             clusterer=clusterer,
             fusion=fusion,
             min_cluster_size=min_cluster_size,
-            executor=executor,
-            max_workers=max_workers,
             track_category_statistics=track_category_statistics,
-            delta_refusion=delta_refusion,
         )
         self._num_shards = num_shards
         self._owns_store = not isinstance(store, CatalogStore)
@@ -863,7 +935,6 @@ class MultiNodeEngine:
             )
         self._nodes: Dict[str, _EngineNode] = {}
         self._node_counter = itertools.count(1)
-        self._retired_transport = TransportStats()
         self._pipeline_depth = pipeline_depth
         self._hint_routing = hint_routing
         self._hinter: Optional[CategoryHinter] = None
@@ -874,11 +945,9 @@ class MultiNodeEngine:
         self._routing_seconds = 0.0
         self._barrier_seconds = 0.0
         self._closed = False
-        # Observability: the coordinator publishes only its *own*
-        # accounting (coordinator + retired transport) — each node engine
-        # bridges its transport itself, and counters sum at collection,
-        # so the merged view equals transport_stats() without double
-        # counting.  Callback gauges hold a weakref only.
+        # Observability: the coordinator publishes its hint-routing
+        # accounting (the same counters transport_stats() reports).
+        # Callback gauges hold a weakref only.
         registry = get_registry()
         self._obs = registry
         self._obs_cluster_batches = registry.counter(
@@ -891,10 +960,7 @@ class MultiNodeEngine:
             cluster = cluster_ref()
             if cluster is None:
                 return {}
-            stats = TransportStats()
-            stats.merge(cluster._retired_transport)
-            stats.merge(cluster._coordinator_transport)
-            return stats.metrics_fragment()
+            return cluster._coordinator_transport.metrics_fragment()
 
         self._obs_provider = registry.add_provider(_coordinator_provider)
         registry.gauge(
@@ -953,9 +1019,8 @@ class MultiNodeEngine:
         """Join a node: rebalance, grant a lease, build its engine.
 
         The moved shards' cluster state needs no explicit transfer — it
-        already lives in the shared store, and the new node's delta
-        workers resync from it (or get a one-time full re-ship) exactly
-        as after a worker restart.  ``defer_layout`` is the bootstrap
+        already lives in the shared store the new node's engine reads.
+        ``defer_layout`` is the bootstrap
         path: leases stay empty until the coordinator applies one final
         layout for the whole initial membership.
         """
@@ -978,11 +1043,6 @@ class MultiNodeEngine:
         self.flush()
         node = self._nodes.pop(node_id)
         self._coordinator.retire_node(node_id, fence=fence)
-        self._retired_transport.merge(node.engine.transport_stats())
-        # The retired totals now carry this engine's counters; its own
-        # provider has to go, or the frames would be counted twice.
-        node.engine.detach_metrics_provider()
-        node.engine.release_workers()
         return node
 
     def remove_node(self, node_id: str) -> None:
@@ -1011,8 +1071,8 @@ class MultiNodeEngine:
         store (offers held per shard) — the modulo layout membership
         starts from ignores how skewed the category distribution is, and
         a warm cluster can pull its busiest shards apart this way.
-        Moved shards are re-fenced and their new owners resync through
-        the delta protocol, exactly like a membership handoff.
+        Moved shards are re-fenced and their new owners read them from
+        the shared store, exactly like a membership handoff.
         """
         self.flush()
         if loads is None:
@@ -1310,13 +1370,8 @@ class MultiNodeEngine:
         )
 
     def transport_stats(self) -> TransportStats:
-        """Cluster-wide executor-payload accounting (all nodes, ever)."""
-        merged = TransportStats()
-        merged.merge(self._retired_transport)
-        merged.merge(self._coordinator_transport)
-        for node in self._nodes.values():
-            merged.merge(node.engine.transport_stats())
-        return merged
+        """Cluster-wide hint-routing accounting (see :class:`TransportStats`)."""
+        return replace(self._coordinator_transport)
 
     @property
     def routing_seconds(self) -> float:
@@ -1349,16 +1404,13 @@ class MultiNodeEngine:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Release every node's workers and flush/close the shared store."""
+        """Flush and close the shared store."""
         if self._closed:
             return
         self._closed = True
         self._obs.remove_provider(self._obs_provider)
         if not self._store.closed:
             self.flush()
-        for node in self._nodes.values():
-            node.engine.detach_metrics_provider()
-            node.engine.release_workers()
         if self._owns_store:
             self._store.close()
         else:

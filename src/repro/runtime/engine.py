@@ -2,11 +2,13 @@
 
 :class:`SynthesisEngine` wraps the stages of
 :class:`~repro.synthesis.pipeline.ProductSynthesisPipeline` into a
-sharded, micro-batched executor: offers arrive in repeated
+sharded, micro-batched runtime: offers arrive in repeated
 :meth:`SynthesisEngine.ingest` calls (a merchant feed stream), clusters
 grow *incrementally* across batches, and only the clusters a batch
-touched are re-fused — by category shard, in parallel when a thread- or
-process-pool executor is plugged in.
+touched are re-fused — in one in-process loop that shares a fusion memo
+across batches.  Parallelism lives one level up, in cluster node
+processes (:class:`~repro.runtime.procnode.MultiProcessEngine`), each of
+which hosts one of these engines.
 
 All engine state — clusters, cached fusion results, seen-offer ids,
 per-category TF-IDF statistics, reconciliation counters — lives behind a
@@ -17,13 +19,6 @@ pluggable :class:`~repro.runtime.state.CatalogStore`:
 * ``store="sqlite"`` (with ``store_path``) commits after every ingest
   and restores the full engine state across process restarts, so a
   stream can resume exactly where a killed process left off.
-
-With a process-pool executor the engine speaks the *delta re-fusion
-protocol* (:mod:`repro.runtime.delta`): workers keep shard-resident
-cluster state and each batch ships only the new offers plus touched
-cluster ids, with a per-shard version counter so a worker that restarted
-or fell behind resyncs from the store.  Serial and thread execution
-share the store's memory directly and need no deltas.
 
 Compared with looping ``pipeline.synthesize()`` over a stream (which must
 re-run every stage over all offers seen so far to keep the product set
@@ -41,8 +36,7 @@ Examples
 --------
 >>> # doctest-style sketch (see tests/test_runtime_engine.py for runnable use)
 >>> # engine = SynthesisEngine(catalog, correspondences, num_shards=8,
->>> #                          executor="process", store="sqlite",
->>> #                          store_path="catalog.sqlite3")
+>>> #                          store="sqlite", store_path="catalog.sqlite3")
 >>> # for batch in feed:
 >>> #     report = engine.ingest(batch)
 >>> # products = engine.products()
@@ -50,7 +44,6 @@ Examples
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -60,17 +53,10 @@ from repro.model.catalog import Catalog
 from repro.model.offers import Offer
 from repro.model.products import Product
 from repro.obs import get_registry
-from repro.runtime.delta import (
-    ClusterDelta,
-    DeltaShardTask,
-    TransportStats,
-    fuse_delta_shard,
-)
-from repro.runtime.executors import ShardExecutor, resolve_executor
 from repro.runtime.sharding import shard_for_category
 from repro.runtime.state import CatalogStore, ClusterId, resolve_store
 from repro.synthesis.category_classifier import TitleCategoryClassifier
-from repro.synthesis.clustering import KeyAttributeClusterer, OfferCluster
+from repro.synthesis.clustering import KeyAttributeClusterer
 from repro.synthesis.fusion import CentroidValueFusion, MemoizedValueFusion
 from repro.synthesis.pipeline import ProductSynthesisPipeline, build_product_from_cluster
 from repro.synthesis.reconciliation import ReconciliationStats
@@ -161,35 +147,6 @@ class EngineSnapshot:
         return len(self.products)
 
 
-@dataclass
-class _PendingAppend:
-    """This batch's additions to one cluster, before re-fusion."""
-
-    shard_index: int
-    #: Cluster size before this batch (what a worker delta applies on top of).
-    base_size: int
-    offers: List[Offer] = field(default_factory=list)
-
-
-#: One full-state executor payload: fuse these clusters with these
-#: schema attributes (the non-delta protocol; see repro.runtime.delta
-#: for the incremental one).
-_ShardTask = Tuple[List[Tuple[OfferCluster, List[str]]], object]
-
-
-def _fuse_shard(task: _ShardTask) -> List[Optional[Product]]:
-    """Fuse every (cluster, attribute-names) pair of one shard payload.
-
-    Module-level and pure so process-pool executors can pickle it; fusion
-    is deterministic, so all executors return identical products.
-    """
-    cluster_jobs, fusion = task
-    return [
-        build_product_from_cluster(cluster, attribute_names, fusion)
-        for cluster, attribute_names in cluster_jobs
-    ]
-
-
 class SynthesisEngine:
     """Sharded, micro-batched, incrementally clustering synthesis runtime.
 
@@ -209,12 +166,6 @@ class SynthesisEngine:
         :meth:`category_statistics` and the snapshot).  Disable to shave
         per-offer tokenisation off the hot path when the statistics are
         not consumed.
-    executor:
-        ``"serial"`` (default), ``"thread"``, ``"process"``, or a
-        pre-built executor instance.  Executor choice never changes the
-        synthesized products, only the wall-clock time.
-    max_workers:
-        Worker count for pool executors (``None`` = library default).
     store:
         ``"memory"`` (default), ``"sqlite"`` (durable; requires
         ``store_path``), or a pre-built
@@ -225,12 +176,6 @@ class SynthesisEngine:
         run.  Store choice never changes the synthesized products.
     store_path:
         Filesystem path of the SQLite store (``store="sqlite"`` only).
-    delta_refusion:
-        ``None`` (default) enables the delta protocol whenever the
-        executor supports pinned dispatch (the process pool); ``False``
-        forces full-state shipping; ``True`` requires a pinning executor.
-        Either way the products are byte-identical — only the payload
-        volume differs (see :meth:`transport_stats`).
     """
 
     def __init__(
@@ -243,12 +188,9 @@ class SynthesisEngine:
         fusion: Optional[CentroidValueFusion] = None,
         min_cluster_size: int = 1,
         num_shards: int = 4,
-        executor: Union[str, ShardExecutor, None] = "serial",
-        max_workers: Optional[int] = None,
         track_category_statistics: bool = True,
         store: Union[str, CatalogStore, None] = None,
         store_path: Optional[str] = None,
-        delta_refusion: Optional[bool] = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -268,31 +210,22 @@ class SynthesisEngine:
         )
         self._track_category_statistics = track_category_statistics
         self._num_shards = num_shards
-        self._executor = resolve_executor(executor, max_workers=max_workers)
 
         # The engine owns (and therefore closes) stores it resolved from a
         # name; a user-supplied instance stays open for reuse elsewhere.
         self._owns_store = not isinstance(store, CatalogStore)
         self._store = resolve_store(store, path=store_path)
         self._store.bind(num_shards)
-
-        supports_pinning = getattr(self._executor, "supports_pinning", False)
-        if delta_refusion and not supports_pinning:
-            raise ValueError(
-                "delta_refusion=True requires an executor with pinned dispatch "
-                f"(got {self._executor.name!r}); use executor='process'"
-            )
-        self._delta_refusion = (
-            supports_pinning if delta_refusion is None else bool(delta_refusion)
-        )
-        self._transport_stats = TransportStats()
+        # One memo for the engine's lifetime: re-fusing a grown cluster
+        # re-selects unchanged attribute-value lists as dictionary
+        # lookups.  The selected values are identical — the memo is
+        # transparent.
+        self._fusion = MemoizedValueFusion(self._pipeline.fusion)
         self._commit_listeners: List[Callable[[CommitEvent], None]] = []
         self._closed = False
 
         # Observability: handles are resolved once (per-batch increments
-        # only — nothing on the per-offer path touches the registry), and
-        # the pre-existing transport accounting is bridged through a
-        # weakref provider so the registry reads it without double-writes.
+        # only — nothing on the per-offer path touches the registry).
         registry = get_registry()
         self._obs = registry
         self._obs_batches = registry.counter(
@@ -313,27 +246,6 @@ class SynthesisEngine:
             "engine_products_refreshed_total",
             help="Products (re-)fused by ingested batches.",
         )
-        engine_ref = weakref.ref(self)
-
-        def _transport_provider() -> Dict[str, object]:
-            engine = engine_ref()
-            if engine is None:
-                return {}
-            return engine._transport_stats.metrics_fragment()
-
-        self._obs_provider = registry.add_provider(_transport_provider)
-
-        # Full-state process payloads get the plain fusion (shipping a
-        # memo there is dead weight: its updates never come back); delta
-        # workers wrap the base fusion in their own shard-resident memo.
-        # Serial and thread execution share one memo across batches, so
-        # unchanged attribute-value lists are selected once.  Either way
-        # the selected values are identical — the memo is transparent.
-        base_fusion = self._pipeline.fusion
-        self._base_fusion = base_fusion
-        self._worker_fusion: CentroidValueFusion = base_fusion
-        if not supports_pinning:
-            self._worker_fusion = MemoizedValueFusion(base_fusion)
 
     # -- streaming ingest ------------------------------------------------------
 
@@ -355,11 +267,8 @@ class SynthesisEngine:
                 "(reopen the store path with a new engine to resume)"
             )
         # Ingesting re-arms a closed engine (memory-store engines stay
-        # usable after close(); executor pools are re-created lazily —
-        # and the transport provider close() unregistered comes back).
-        if self._closed:
-            self._obs.add_provider(self._obs_provider)
-            self._closed = False
+        # usable after close()).
+        self._closed = False
         # Filtering against both sets also deduplicates repeats inside a
         # single batch, not just across batches.  Ids are only *marked*
         # seen after the fallible pipeline stages below succeed, so a
@@ -400,7 +309,6 @@ class SynthesisEngine:
         report.clusters_touched = len(pending)
         with self._obs.span("ingest.fuse"):
             report.products_refreshed = self._refuse_clusters(pending)
-        self._transport_stats.batches += 1
         with self._obs.span("ingest.commit_barrier"):
             self._store.commit()
         self._obs_batches.inc()
@@ -444,15 +352,14 @@ class SynthesisEngine:
 
     def _route_to_clusters(
         self, reconciled: Sequence[Offer], report: IngestReport
-    ) -> "Dict[ClusterId, _PendingAppend]":
+    ) -> Dict[ClusterId, List[Offer]]:
         """Route offers to their clusters; returns this batch's appends.
 
-        The returned dict is keyed by cluster id in first-touch order and
-        records, per touched cluster, the pre-batch size plus the new
-        offers — exactly what both re-fusion protocols need.
+        The returned dict maps each touched cluster id, in first-touch
+        order, to the offers this batch appended to it.
         """
         clusterer = self._pipeline.clusterer
-        pending: Dict[ClusterId, _PendingAppend] = {}
+        pending: Dict[ClusterId, List[Offer]] = {}
         for offer in reconciled:
             if offer.category_id is None:
                 report.offers_uncategorised += 1
@@ -463,172 +370,37 @@ class SynthesisEngine:
                 continue
             self._update_category_stats(offer)
             cluster_id: ClusterId = (offer.category_id, key)
-            entry = pending.get(cluster_id)
-            if entry is None:
-                shard_index = shard_for_category(offer.category_id, self._num_shards)
-                state = self._store.get_cluster(cluster_id)
-                if state is None:
-                    state = self._store.create_cluster(shard_index, cluster_id)
-                entry = _PendingAppend(shard_index=shard_index, base_size=state.size())
-                pending[cluster_id] = entry
-            entry.offers.append(offer)
+            appended = pending.get(cluster_id)
+            if appended is None:
+                if self._store.get_cluster(cluster_id) is None:
+                    shard_index = shard_for_category(offer.category_id, self._num_shards)
+                    self._store.create_cluster(shard_index, cluster_id)
+                appended = pending[cluster_id] = []
+            appended.append(offer)
             report.offers_clustered += 1
-        for cluster_id, entry in pending.items():
-            self._store.append_offers(cluster_id, entry.offers)
+        for cluster_id, appended in pending.items():
+            self._store.append_offers(cluster_id, appended)
         return pending
 
-    def _refuse_clusters(self, pending: "Dict[ClusterId, _PendingAppend]") -> int:
-        """Re-fuse the touched clusters (sharded, via the executor)."""
-        by_shard: Dict[int, List[ClusterId]] = {}
-        for cluster_id, entry in pending.items():
-            by_shard.setdefault(entry.shard_index, []).append(cluster_id)
-        if not by_shard:
-            return 0
-        if self._delta_refusion:
-            return self._refuse_delta(by_shard, pending)
-        return self._refuse_full(by_shard)
+    def _refuse_clusters(self, pending: Dict[ClusterId, List[Offer]]) -> int:
+        """Re-fuse the touched clusters in first-touch order.
 
-    # -- full-state protocol ---------------------------------------------------
-
-    def _refuse_full(self, by_shard: Dict[int, List[ClusterId]]) -> int:
-        """Ship complete touched-cluster contents (the original protocol)."""
-        payloads: List[_ShardTask] = []
-        payload_keys: List[List[ClusterId]] = []
-        for shard_index in sorted(by_shard):
-            jobs: List[Tuple[OfferCluster, List[str]]] = []
-            keys: List[ClusterId] = []
-            for cluster_id in by_shard[shard_index]:
-                state = self._store.get_cluster(cluster_id)
-                if state.size() < self._min_cluster_size:
-                    self._store.set_product(cluster_id, None)
-                    continue
-                jobs.append(
-                    (state.cluster, self._pipeline.attribute_names_for(state.cluster))
-                )
-                keys.append(cluster_id)
-                self._transport_stats.clusters_shipped += 1
-                self._transport_stats.offers_shipped += state.size()
-            if jobs:
-                payloads.append((jobs, self._worker_fusion))
-                payload_keys.append(keys)
-        self._transport_stats.shard_tasks += len(payloads)
-
-        refreshed = 0
-        results = self._executor.map_shards(_fuse_shard, payloads)
-        for keys, products in zip(payload_keys, results):
-            for cluster_id, product in zip(keys, products):
-                self._store.set_product(cluster_id, product)
-                if product is not None:
-                    refreshed += 1
-        return refreshed
-
-    # -- delta protocol --------------------------------------------------------
-
-    def _delta_for(
-        self, cluster_id: ClusterId, base_size: int, offers: List[Offer]
-    ) -> ClusterDelta:
-        state = self._store.get_cluster(cluster_id)
-        self._transport_stats.clusters_shipped += 1
-        self._transport_stats.offers_shipped += len(offers)
-        return ClusterDelta(
-            cluster_id=cluster_id,
-            attribute_names=self._pipeline.attribute_names_for(state.cluster),
-            base_size=base_size,
-            new_offers=offers,
-            fuse=state.size() >= self._min_cluster_size,
-        )
-
-    def _dispatch_delta_tasks(
-        self, tasks_by_shard: Dict[int, List[ClusterDelta]]
-    ) -> List[ClusterId]:
-        """Dispatch one delta task per shard; returns clusters to re-ship.
-
-        Applies every fused product to the store; clusters a worker could
-        not reconstruct (restart without a durable resync source) are
-        returned for a full-content retry.
+        A cluster below the emission threshold gets no product (yet).
+        Fusion goes through the module global
+        :func:`build_product_from_cluster`, once per fused cluster.
         """
-        payloads: List[DeltaShardTask] = []
-        shards: List[int] = []
-        resync_path = self._store.worker_resync_path()
-        for shard_index in sorted(tasks_by_shard):
-            base_version, new_version = self._store.advance_shard_version(shard_index)
-            payloads.append(
-                DeltaShardTask(
-                    store_token=self._store.token,
-                    shard_index=shard_index,
-                    base_version=base_version,
-                    new_version=new_version,
-                    deltas=tasks_by_shard[shard_index],
-                    fusion=self._base_fusion,
-                    resync_path=resync_path,
-                )
-            )
-            shards.append(shard_index)
-        self._transport_stats.shard_tasks += len(payloads)
-
-        results = self._executor.map_pinned(fuse_delta_shard, payloads, shards)
-        missing: List[ClusterId] = []
-        for task, result in zip(payloads, results):
-            unresolved = set(result.missing)
-            for delta, product in zip(task.deltas, result.products):
-                if delta.cluster_id in unresolved:
-                    continue
-                self._store.set_product(delta.cluster_id, product if delta.fuse else None)
-            self._transport_stats.worker_resyncs += result.resynced
-            missing.extend(result.missing)
-        return missing
-
-    def _refuse_delta(
-        self,
-        by_shard: Dict[int, List[ClusterId]],
-        pending: "Dict[ClusterId, _PendingAppend]",
-    ) -> int:
-        """Ship only new offers per touched cluster (pinned workers)."""
-        tasks_by_shard: Dict[int, List[ClusterDelta]] = {}
-        for shard_index in sorted(by_shard):
-            tasks_by_shard[shard_index] = [
-                self._delta_for(
-                    cluster_id, pending[cluster_id].base_size, pending[cluster_id].offers
-                )
-                for cluster_id in by_shard[shard_index]
-            ]
-        missing = self._dispatch_delta_tasks(tasks_by_shard)
-
-        if missing:
-            # A worker restarted and had no durable store to resync from:
-            # re-ship those clusters in full (base_size=0 = replace).
-            self._transport_stats.full_retries += len(missing)
-            retry_by_shard: Dict[int, List[ClusterDelta]] = {}
-            for cluster_id in missing:
-                state = self._store.get_cluster(cluster_id)
-                delta = ClusterDelta(
-                    cluster_id=cluster_id,
-                    attribute_names=self._pipeline.attribute_names_for(state.cluster),
-                    base_size=0,
-                    new_offers=list(state.cluster.offers),
-                    fuse=state.size() >= self._min_cluster_size,
-                )
-                self._transport_stats.clusters_shipped += 1
-                self._transport_stats.offers_shipped += state.size()
-                retry_by_shard.setdefault(state.shard_index, []).append(delta)
-            still_missing = self._dispatch_delta_tasks(retry_by_shard)
-            # base_size=0 replacements always apply; fuse any leftovers
-            # engine-side so no cluster is ever silently dropped.
-            for cluster_id in still_missing:  # pragma: no cover - defensive
-                state = self._store.get_cluster(cluster_id)
-                product = None
-                if state.size() >= self._min_cluster_size:
-                    product = build_product_from_cluster(
-                        state.cluster,
-                        self._pipeline.attribute_names_for(state.cluster),
-                        self._base_fusion,
-                    )
-                self._store.set_product(cluster_id, product)
-
         refreshed = 0
         for cluster_id in pending:
             state = self._store.get_cluster(cluster_id)
-            if state.product is not None:
+            product = None
+            if state.size() >= self._min_cluster_size:
+                product = build_product_from_cluster(
+                    state.cluster,
+                    self._pipeline.attribute_names_for(state.cluster),
+                    self._fusion,
+                )
+            self._store.set_product(cluster_id, product)
+            if product is not None:
                 refreshed += 1
         return refreshed
 
@@ -647,8 +419,8 @@ class SynthesisEngine:
         """All current synthesized products.
 
         Sorted by (category, cluster key), so the listing is deterministic
-        regardless of shard count, executor, store backend, or how the
-        stream was batched.
+        regardless of shard count, store backend, or how the stream was
+        batched.
         """
         return self._store.sorted_products()
 
@@ -664,20 +436,6 @@ class SynthesisEngine:
     def store(self) -> CatalogStore:
         """The catalog store holding this engine's state."""
         return self._store
-
-    def transport_stats(self) -> TransportStats:
-        """Cumulative executor-payload accounting (see :class:`TransportStats`)."""
-        return self._transport_stats
-
-    def detach_metrics_provider(self) -> None:
-        """Stop contributing transport counters to the metrics registry.
-
-        ``close`` calls this; so does the cluster layer when retiring a
-        node whose transport accounting it folds into its own retired
-        totals — leaving the provider registered would count the same
-        frames twice in every later snapshot.
-        """
-        self._obs.remove_provider(self._obs_provider)
 
     # -- commit feed -----------------------------------------------------------
 
@@ -731,32 +489,17 @@ class SynthesisEngine:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def release_workers(self) -> None:
-        """Shut down executor workers without touching the store.
-
-        Pools are re-created lazily, so the engine stays usable.  The
-        cluster layer uses this to retire a node whose store view was
-        fenced — committing through that view would (correctly) raise,
-        but its worker processes still have to go.  Cluster *node
-        processes* (:mod:`repro.runtime.procnode`) call it on shutdown
-        and on coordinator loss, so an engine hosted inside a node never
-        leaks a worker pool past its process's lifetime.
-        """
-        self._executor.close()
-
     def close(self) -> None:
-        """Release executor workers and flush/close an engine-owned store.
+        """Flush and close an engine-owned store.
 
         Idempotent: calling it twice (or after ``__exit__``) is safe.  A
         store passed in as an instance is committed but left open for its
         owner; with the default in-memory store the engine stays fully
-        usable after ``close`` (workers are re-created lazily).
+        usable after ``close``.
         """
         if self._closed:
             return
         self._closed = True
-        self.detach_metrics_provider()
-        self.release_workers()
         if self._owns_store:
             self._store.close()
         else:

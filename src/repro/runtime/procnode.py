@@ -17,8 +17,8 @@ across nodes):
 ``ingest``
     One routed sub-batch of offers.  The node runs its engine over it
     — all mutations land in the store's *journal*, nothing touches the
-    file — and answers with a ``vote``: its ingest report, busy time and
-    transport counters on success, the error otherwise.
+    file — and answers with a ``vote``: its ingest report and busy time
+    on success, the error otherwise.
 ``classify`` / ``apply``
     The hint-routing rounds (``hint_routing=True``): the coordinator
     routes each batch on a cheap :class:`~repro.runtime.cluster.CategoryHinter`
@@ -57,7 +57,7 @@ across nodes):
     (``os._exit``) at the Nth store operation — a genuine mid-batch
     death, exercised by the crash suites and the ops example.
 ``shutdown``
-    Graceful leave; the node releases its workers and closes its store.
+    Graceful leave; the node closes its store.
 
 **Safety.**  The shared-row strategy keeps cross-process writes
 race-free: each offer is routed to exactly one node (seen-set rows are
@@ -84,8 +84,8 @@ import os
 import pickle
 import time
 import weakref
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.extraction.extractor import WebPageAttributeExtractor
 from repro.matching.correspondence import CorrespondenceSet
@@ -100,13 +100,12 @@ from repro.runtime.cluster import (
     NodeStats,
     ShardCoordinator,
     ShardLease,
+    TransportStats,
     assign_routing_categories,
     partition_offers_by_hint,
     partition_offers_by_node,
 )
-from repro.runtime.delta import TransportStats
 from repro.runtime.engine import EngineSnapshot, IngestReport, SynthesisEngine
-from repro.runtime.executors import ShardExecutor
 from repro.runtime.sharding import shard_for_category
 from repro.runtime.store.sqlite import SqliteCatalogStore
 from repro.synthesis.category_classifier import TitleCategoryClassifier
@@ -144,8 +143,6 @@ class NodeVote:
     report: Optional[IngestReport] = None
     #: Seconds the node spent in ``engine.ingest`` for this sub-batch.
     busy_seconds: float = 0.0
-    #: The node engine's *cumulative* executor-payload accounting.
-    transport: TransportStats = field(default_factory=TransportStats)
 
 
 def _node_main(
@@ -199,13 +196,11 @@ def _node_main(
                 ready=False,
                 error=repr(exc),
                 busy_seconds=time.perf_counter() - started,
-                transport=engine.transport_stats(),
             )
         return NodeVote(
             ready=True,
             report=report,
             busy_seconds=time.perf_counter() - started,
-            transport=engine.transport_stats(),
         )
 
     try:
@@ -275,10 +270,10 @@ def _node_main(
                 channel.send(("lease-ok", None))
             elif kind == "stats":
                 # The node's whole registry snapshot (engine counters,
-                # spans, its store series, the bridged transport stats)
-                # rides the pipe back; the coordinator folds the live
-                # nodes' fragments into one fleet view with
-                # merge_snapshot (counters sum across processes).
+                # spans, its store series) rides the pipe back; the
+                # coordinator folds the live nodes' fragments into one
+                # fleet view with merge_snapshot (counters sum across
+                # processes).
                 channel.send(("stats", get_registry().snapshot()))
             elif kind == "crash":
                 _arm_fault(
@@ -289,7 +284,6 @@ def _node_main(
                 )
                 channel.send(("crash-armed", None))
             elif kind == "shutdown":
-                engine.release_workers()
                 store.close()
                 channel.send(("bye", None))
                 return
@@ -297,7 +291,7 @@ def _node_main(
                 channel.send(("error", f"unknown message kind {kind!r}"))
     except (EOFError, OSError, KeyboardInterrupt):
         # The coordinator went away: exit without flushing anything.
-        engine.release_workers()
+        pass
 
 
 def _arm_fault(
@@ -349,7 +343,7 @@ class ProcessNode:
     or silent process into :class:`NodeDeadError`.  Each message
     travels as one explicitly pickled frame, and every frame and its
     payload bytes are counted into ``pipe_stats`` — the engine-level
-    :class:`~repro.runtime.delta.TransportStats` that makes the pipe
+    :class:`~repro.runtime.cluster.TransportStats` that makes the pipe
     protocol's cost measurable (and regressions visible).
     """
 
@@ -378,7 +372,6 @@ class ProcessNode:
         self.offers_routed = 0
         self.batches = 0
         self.busy_seconds = 0.0
-        self.transport = TransportStats()
         self.pipe_stats = pipe_stats if pipe_stats is not None else TransportStats()
         self._timeout = timeout
         parent_end, child_end = context.Pipe(duplex=True)
@@ -519,12 +512,6 @@ class MultiProcessEngine:
     Parameters mirror :class:`~repro.runtime.cluster.MultiNodeEngine`
     where they overlap; the process-specific ones:
 
-    node_executor:
-        Executor of the engine *inside* each node process: ``"serial"``
-        (default — the node processes themselves are the parallelism)
-        or ``"thread"``.  ``"process"`` is rejected with
-        :class:`ValueError`: node processes are daemonic and cannot
-        spawn worker-pool children.
     node_timeout:
         Seconds to wait for a node's reply before declaring it dead.
     pipeline_depth:
@@ -556,11 +543,8 @@ class MultiProcessEngine:
         min_cluster_size: int = 1,
         num_nodes: int = 2,
         num_shards: int = 8,
-        node_executor: Union[str, ShardExecutor, None] = "serial",
-        max_workers: Optional[int] = None,
         track_category_statistics: bool = True,
         store_path: Optional[str] = None,
-        delta_refusion: Optional[bool] = None,
         auto_recover: bool = True,
         auto_rebalance_skew: Optional[float] = None,
         auto_rebalance_patience: int = 2,
@@ -585,17 +569,6 @@ class MultiProcessEngine:
                 "MultiProcessEngine requires store_path: the shared WAL "
                 "file is the only state its node processes have in common"
             )
-        if isinstance(node_executor, str) and node_executor not in ("serial", "thread"):
-            raise ValueError(
-                f"node_executor {node_executor!r} is not usable inside a node "
-                "process: nodes run as daemonic children, which cannot spawn "
-                "worker-pool processes of their own — use 'serial' or 'thread'"
-            )
-        if getattr(node_executor, "supports_pinning", False):
-            raise ValueError(
-                "a process-pool executor cannot run inside a node process "
-                "(daemonic children cannot spawn workers); use 'serial' or 'thread'"
-            )
         self._classifier = category_classifier
         self._num_shards = num_shards
         self._engine_kwargs: Dict[str, object] = dict(
@@ -606,10 +579,7 @@ class MultiProcessEngine:
             clusterer=clusterer,
             fusion=fusion,
             min_cluster_size=min_cluster_size,
-            executor=node_executor,
-            max_workers=max_workers,
             track_category_statistics=track_category_statistics,
-            delta_refusion=delta_refusion,
         )
         self._context = _start_context()
         self._timeout = node_timeout
@@ -627,7 +597,6 @@ class MultiProcessEngine:
         self._coordinator = ShardCoordinator(self._store, num_shards)
         self._nodes: Dict[str, ProcessNode] = {}
         self._node_counter = itertools.count(1)
-        self._retired_transport = TransportStats()
         self._retired_busy = 0.0
         # Coordinator-side dedup: offers absorbed since the last mirror
         # refresh.  Updated only after a barrier commits, so a recovered
@@ -648,7 +617,7 @@ class MultiProcessEngine:
         self._routing_seconds = 0.0
         self._barrier_seconds = 0.0
         # Observability: the coordinator bridges its own accounting
-        # (pipe frames + retired nodes) plus the *cached* node-process
+        # (pipe frames, hint routing) plus the *cached* node-process
         # fragments fetched by node_metrics() — a scrape must never talk
         # to the node processes, so the cache is only as fresh as the
         # last explicit fetch.
@@ -665,10 +634,7 @@ class MultiProcessEngine:
             cluster = cluster_ref()
             if cluster is None:
                 return {}
-            stats = TransportStats()
-            stats.merge(cluster._retired_transport)
-            stats.merge(cluster._pipe_stats)
-            fragment = stats.metrics_fragment()
+            fragment = cluster._pipe_stats.metrics_fragment()
             merge_snapshot(fragment, cluster._node_metrics)
             return fragment
 
@@ -828,7 +794,6 @@ class MultiProcessEngine:
                 f"cannot retire {node_id!r}: it is the last node of the cluster"
             )
         node = self._nodes.pop(node_id)
-        self._retired_transport.merge(node.transport)
         self._retired_busy += node.busy_seconds
         return node
 
@@ -1107,7 +1072,6 @@ class MultiProcessEngine:
                 )
                 continue
             node.busy_seconds += vote.busy_seconds
-            node.transport = vote.transport
             if vote.ready:
                 votes[node_id] = vote
             else:
@@ -1232,7 +1196,6 @@ class MultiProcessEngine:
                 )
                 continue
             node.busy_seconds += vote.busy_seconds
-            node.transport = vote.transport
             if vote.ready:
                 votes[node_id] = vote
             else:
@@ -1438,13 +1401,8 @@ class MultiProcessEngine:
         )
 
     def transport_stats(self) -> TransportStats:
-        """Cluster-wide transport accounting: executor payloads + pipe frames."""
-        merged = TransportStats()
-        merged.merge(self._retired_transport)
-        merged.merge(self._pipe_stats)
-        for node in self._nodes.values():
-            merged.merge(node.transport)
-        return merged
+        """Cluster-wide transport accounting: pipe frames and hint routing."""
+        return replace(self._pipe_stats)
 
     def node_metrics(self) -> Dict[str, object]:
         """Fetch and merge every live node process's metrics snapshot.

@@ -11,19 +11,11 @@ This module factorises that implicit state behind an explicit
 * :class:`~repro.runtime.store.sqlite.SqliteCatalogStore` — a durable
   WAL-mode SQLite backend that commits after every ingest and restores
   the full engine state across process restarts.
-
-The store is also the source of truth for the *delta re-fusion protocol*
-(:mod:`repro.runtime.delta`): it tracks a monotonic version counter per
-category shard, and a durable store exposes a ``worker_resync_path`` so a
-process worker that restarted or fell behind can reload shard state
-straight from disk instead of having it re-shipped.
 """
 
 from __future__ import annotations
 
 import abc
-import itertools
-import os
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
@@ -46,15 +38,6 @@ __all__ = [
 #: A cluster is identified by (category_id, clustering key) — the same
 #: pair the clusterer uses, so cluster identity is store-independent.
 ClusterId = Tuple[str, str]
-
-#: Monotonic source for store tokens; combined with the PID so tokens
-#: from engines in different processes can never collide.
-_TOKEN_COUNTER = itertools.count(1)
-
-
-def _new_store_token() -> str:
-    return f"store-{os.getpid()}-{next(_TOKEN_COUNTER)}"
-
 
 class StaleEpochError(RuntimeError):
     """A write carried a fenced-out shard epoch and was rejected.
@@ -86,17 +69,12 @@ class CatalogStore(abc.ABC):
     and an explicit :meth:`commit` barrier at the end of every ingest
     (durable backends flush exactly there, so a killed process loses at
     most the in-flight batch).
-
-    A store instance carries a ``token`` unique per open; the delta
-    protocol keys worker-resident shard caches on it, so state cached for
-    a previous store generation can never leak into a new run.
     """
 
     #: Name used by CLI flags and reports ("memory", "sqlite", ...).
     name = "abstract"
 
     def __init__(self) -> None:
-        self.token = _new_store_token()
         self._num_shards = 0
         self._fault_hook: Optional[Callable[[str], None]] = None
         self._commit_count = 0
@@ -309,8 +287,8 @@ class CatalogStore(abc.ABC):
         """All current synthesized products, sorted by (category, key).
 
         The single definition of the engine-facing product listing:
-        deterministic regardless of shard count, executor, backend, node
-        count, or how the stream was batched.  Both the single engine
+        deterministic regardless of shard count, backend, node count,
+        or how the stream was batched.  Both the single engine
         and the multi-node facade serve ``products()`` from here, so
         their byte-identity contract cannot drift.
         """
@@ -362,27 +340,16 @@ class CatalogStore(abc.ABC):
     def reconciliation_stats(self) -> ReconciliationStats:
         """A copy of the accumulated reconciliation counters."""
 
-    # -- shard versions (delta re-fusion protocol) -----------------------------
-
-    @abc.abstractmethod
-    def shard_version(self, shard_index: int) -> int:
-        """The current version counter of one shard (0 = never dispatched)."""
-
-    @abc.abstractmethod
-    def advance_shard_version(self, shard_index: int) -> Tuple[int, int]:
-        """Bump a shard's version; returns ``(base_version, new_version)``."""
-
     # -- shard epochs (multi-node version fencing) -----------------------------
 
     @abc.abstractmethod
     def shard_epoch(self, shard_index: int) -> int:
         """The authoritative fencing epoch of one shard (0 = never owned).
 
-        Distinct from :meth:`shard_version`: versions count *dispatches*
-        within one owner's stream and reset freely; epochs count
-        *ownership changes* across nodes and only ever grow.  A durable
-        backend persists epochs immediately (not at the commit barrier),
-        because fencing must survive exactly the crashes it guards against.
+        Epochs count *ownership changes* across nodes and only ever grow.
+        A durable backend persists epochs immediately (not at the commit
+        barrier), because fencing must survive exactly the crashes it
+        guards against.
         """
 
     @abc.abstractmethod
@@ -555,16 +522,6 @@ class CatalogStore(abc.ABC):
         """The recorded ``(sequence, payload)`` intent, or ``None``."""
         return self._commit_intent
 
-    # -- worker resync ---------------------------------------------------------
-
-    def worker_resync_path(self) -> Optional[str]:
-        """Durable location a process worker can reload shard state from.
-
-        ``None`` (the default) means workers cannot self-resync and the
-        engine must re-ship full cluster contents instead.
-        """
-        return None
-
 
 @dataclass
 class _InMemoryState:
@@ -581,7 +538,6 @@ class _InMemoryState:
     assigned_categories: Dict[str, str] = field(default_factory=dict)
     category_stats: Dict[str, IncrementalTfIdf] = field(default_factory=dict)
     reconciliation_stats: ReconciliationStats = field(default_factory=ReconciliationStats)
-    shard_versions: Dict[int, int] = field(default_factory=dict)
     shard_epochs: Dict[int, int] = field(default_factory=dict)
 
 

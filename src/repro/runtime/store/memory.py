@@ -220,18 +220,6 @@ class MemoryCatalogStore(CatalogStore):
         """A copy of the accumulated reconciliation counters."""
         return replace(self._state.reconciliation_stats)
 
-    # -- shard versions --------------------------------------------------------
-
-    def shard_version(self, shard_index: int) -> int:
-        """The delta-protocol version counter of one shard."""
-        return self._state.shard_versions.get(shard_index, 0)
-
-    def advance_shard_version(self, shard_index: int) -> Tuple[int, int]:
-        """Bump a shard's version; returns ``(base, new)``."""
-        base = self._state.shard_versions.get(shard_index, 0)
-        self._state.shard_versions[shard_index] = base + 1
-        return base, base + 1
-
     # -- shard epochs ----------------------------------------------------------
 
     def shard_epoch(self, shard_index: int) -> int:

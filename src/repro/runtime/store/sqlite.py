@@ -9,7 +9,6 @@ Layout (one row per fact, JSON payloads via the
     clusters(category_id, cluster_key, product)
     cluster_offers(category_id, cluster_key, position, offer)
     category_stats(category_id, stats)    -- IncrementalTfIdf state dicts
-    shard_versions(shard, version)        -- delta-protocol counters
     shard_epochs(shard, epoch)            -- multi-node fencing epochs
     reconciliation_stats(id=1, ...)       -- running totals
     commit_journal(commit_id, category_id, cluster_key, product)
@@ -22,11 +21,6 @@ killed process loses at most the batch that was in flight.  Reopening
 the same path restores the complete engine state; re-fusing restored
 clusters yields byte-identical products because offers round-trip
 exactly through the JSON serialisers.
-
-Because the file is a consistent snapshot after every commit, process
-workers of the delta re-fusion protocol can resync a shard straight from
-it (:meth:`worker_resync_path`) instead of having cluster contents
-re-shipped through the task queue.
 
 **Multi-process sharing.**  A multi-process cluster
 (:class:`~repro.runtime.procnode.MultiProcessEngine`) opens one store
@@ -73,7 +67,7 @@ from repro.synthesis.clustering import OfferCluster
 from repro.synthesis.reconciliation import ReconciliationStats
 from repro.text.tfidf import IncrementalTfIdf
 
-__all__ = ["SqliteCatalogStore", "load_shard_clusters", "read_product_page"]
+__all__ = ["SqliteCatalogStore", "read_product_page"]
 
 #: Bumped when the table layout changes incompatibly.
 _FORMAT_VERSION = 1
@@ -107,10 +101,6 @@ CREATE TABLE IF NOT EXISTS category_stats (
     category_id TEXT PRIMARY KEY,
     stats TEXT NOT NULL
 ) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS shard_versions (
-    shard INTEGER PRIMARY KEY,
-    version INTEGER NOT NULL
-) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS shard_epochs (
     shard INTEGER PRIMARY KEY,
     epoch INTEGER NOT NULL
@@ -142,36 +132,6 @@ CREATE TABLE IF NOT EXISTS commit_journal (
     PRIMARY KEY (commit_id, category_id, cluster_key)
 ) WITHOUT ROWID;
 """
-
-
-def load_shard_clusters(
-    path: str, cluster_ids: List[ClusterId]
-) -> Dict[ClusterId, List[Offer]]:
-    """Load the committed offer lists of selected clusters from ``path``.
-
-    Used by delta-protocol process workers to resync: the file reflects
-    the last engine commit (= the state *before* the in-flight batch), so
-    the caller applies the current batch's delta on top.  Missing
-    clusters simply have no entry in the result.
-    """
-    # A plain read-only connection per call keeps the worker side free of
-    # connection state; resyncs are rare (worker restart / fresh worker).
-    connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-    try:
-        loaded: Dict[ClusterId, List[Offer]] = {}
-        for category_id, cluster_key in cluster_ids:
-            rows = connection.execute(
-                "SELECT offer FROM cluster_offers"
-                " WHERE category_id = ? AND cluster_key = ? ORDER BY position",
-                (category_id, cluster_key),
-            ).fetchall()
-            if rows:
-                loaded[(category_id, cluster_key)] = [
-                    offer_from_dict(json.loads(row[0])) for row in rows
-                ]
-        return loaded
-    finally:
-        connection.close()
 
 
 def read_product_page(
@@ -267,7 +227,6 @@ class SqliteCatalogStore(CatalogStore):
         self._new_offers: List[Tuple[str, str, int, str]] = []
         self._dirty_products: Dict[ClusterId, Optional[Product]] = {}
         self._dirty_stats: set = set()
-        self._dirty_versions: set = set()
         self._stats_dirty = False
         self._restore()
         if stored_version is None:
@@ -340,10 +299,6 @@ class SqliteCatalogStore(CatalogStore):
             state.category_stats[category_id] = IncrementalTfIdf.from_state_dict(
                 json.loads(stats_json)
             )
-        for shard, version in self._connection.execute(
-            "SELECT shard, version FROM shard_versions"
-        ):
-            state.shard_versions[shard] = version
         for shard, epoch in self._connection.execute(
             "SELECT shard, epoch FROM shard_epochs"
         ):
@@ -372,18 +327,14 @@ class SqliteCatalogStore(CatalogStore):
                 self._partition_totals = partial
 
     def bind(self, num_shards: int) -> None:
-        """Bind to a shard count; a mismatch with the stored one resets epochs/versions."""
+        """Bind to a shard count; a mismatch with the stored one resets epochs."""
         super().bind(num_shards)
         stored = self._meta("num_shards")
         if stored is not None and int(stored) != num_shards:
-            # Shard indices (and therefore per-shard version counters and
-            # fencing epochs) are meaningless under a different shard
-            # count; reset them.  Worker caches are keyed by store token,
-            # so no worker can hold state for this store generation yet.
-            self._state.shard_versions = {}
+            # Shard indices (and therefore per-shard fencing epochs) are
+            # meaningless under a different shard count; reset them.
             self._state.shard_epochs = {}
             assert self._connection is not None
-            self._connection.execute("DELETE FROM shard_versions")
             self._connection.execute("DELETE FROM shard_epochs")
         assert self._connection is not None
         self._connection.execute(
@@ -463,14 +414,6 @@ class SqliteCatalogStore(CatalogStore):
                 [
                     (category_id, json.dumps(self._state.category_stats[category_id].state_dict()))
                     for category_id in sorted(self._dirty_stats)
-                ],
-            )
-        if self._dirty_versions:
-            connection.executemany(
-                "INSERT OR REPLACE INTO shard_versions (shard, version) VALUES (?, ?)",
-                [
-                    (shard, self._state.shard_versions.get(shard, 0))
-                    for shard in sorted(self._dirty_versions)
                 ],
             )
         if self._stats_dirty:
@@ -559,7 +502,6 @@ class SqliteCatalogStore(CatalogStore):
         self._new_offers = []
         self._dirty_products = {}
         self._dirty_stats = set()
-        self._dirty_versions = set()
         self._stats_dirty = False
 
     def close(self) -> None:
@@ -583,7 +525,6 @@ class SqliteCatalogStore(CatalogStore):
         self._new_offers = []
         self._dirty_products = {}
         self._dirty_stats = set()
-        self._dirty_versions = set()
         self._stats_dirty = False
         self._touched_clusters.clear()
 
@@ -596,7 +537,6 @@ class SqliteCatalogStore(CatalogStore):
             or self._new_offers
             or self._dirty_products
             or self._dirty_stats
-            or self._dirty_versions
             or self._stats_dirty
         )
 
@@ -614,9 +554,6 @@ class SqliteCatalogStore(CatalogStore):
         The file is a consistent snapshot after every commit, so crash
         recovery is exactly a mirror rebuild: drop the journalled
         mutations, re-read the persisted state, and re-index the shards.
-        The store token is deliberately kept — delta-protocol worker
-        caches that ran ahead of the discarded batch are then caught by
-        the version/base-size guards and resync from this same file.
         """
         connection = self._require_open()
         connection.rollback()
@@ -644,11 +581,10 @@ class SqliteCatalogStore(CatalogStore):
         """Reload selected shards' committed state into the mirror.
 
         Used on shard handoff: the new owner's mirror predates whatever
-        the previous owner committed, so its clusters, products,
-        category statistics and delta-protocol version counters for the
-        moved shards are re-read from the file.  The caller must
-        guarantee the previous owner has committed (membership changes
-        happen between batch barriers, so it has).
+        the previous owner committed, so its clusters, products and
+        category statistics for the moved shards are re-read from the
+        file.  The caller must guarantee the previous owner has committed
+        (membership changes happen between batch barriers, so it has).
         """
         connection = self._require_open()
         targets = {shard for shard in shard_indices if shard >= 0}
@@ -692,11 +628,6 @@ class SqliteCatalogStore(CatalogStore):
                 self._state.category_stats[category_id] = IncrementalTfIdf.from_state_dict(
                     json.loads(stats_json)
                 )
-        for shard, version in connection.execute(
-            "SELECT shard, version FROM shard_versions"
-        ).fetchall():
-            if shard in targets:
-                self._state.shard_versions[shard] = version
 
     @property
     def closed(self) -> bool:
@@ -716,10 +647,6 @@ class SqliteCatalogStore(CatalogStore):
         for the per-process instances of a multi-process cluster.
         """
         return self._partition
-
-    def worker_resync_path(self) -> Optional[str]:
-        """The SQLite file itself: workers resync straight from it."""
-        return self._path
 
     # -- commit intents --------------------------------------------------------
 
@@ -1013,20 +940,6 @@ class SqliteCatalogStore(CatalogStore):
             pairs_mapped=totals.pairs_mapped,
             pairs_discarded=totals.pairs_discarded,
         )
-
-    # -- shard versions --------------------------------------------------------
-
-    def shard_version(self, shard_index: int) -> int:
-        """The delta-protocol version counter of one shard (mirror)."""
-        return self._state.shard_versions.get(shard_index, 0)
-
-    def advance_shard_version(self, shard_index: int) -> Tuple[int, int]:
-        """Bump a shard's version (journalled); returns ``(base, new)``."""
-        self._require_open()
-        base = self._state.shard_versions.get(shard_index, 0)
-        self._state.shard_versions[shard_index] = base + 1
-        self._dirty_versions.add(shard_index)
-        return base, base + 1
 
     # -- shard epochs ----------------------------------------------------------
 

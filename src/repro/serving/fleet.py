@@ -546,23 +546,21 @@ class ServingFleet:
         refresh is in flight).  Each entry also carries the replica's
         resync-mode counters under the nested ``resync`` key (the same
         shape a single service's ``/stats`` uses), so operators can tell
-        journal-delta catch-ups apart from full index rebuilds; the flat
-        per-entry copies are deprecated aliases kept for one release.
+        journal-delta catch-ups apart from full index rebuilds.
         """
         head = self._head()
         replicas = []
         for replica in self._replicas:
             snapshot = replica.service.snapshot_commit_count
-            resync = replica.service.resync_stats()
-            entry = {
-                "replica_id": replica.replica_id,
-                "healthy": replica.healthy,
-                "snapshot_commit_count": snapshot,
-                "lag": max(0, head - snapshot),
-                "resync": resync,
-            }
-            entry.update(resync)  # deprecated flat aliases (one release)
-            replicas.append(entry)
+            replicas.append(
+                {
+                    "replica_id": replica.replica_id,
+                    "healthy": replica.healthy,
+                    "snapshot_commit_count": snapshot,
+                    "lag": max(0, head - snapshot),
+                    "resync": replica.service.resync_stats(),
+                }
+            )
         return {
             "head_commit_count": head,
             "max_lag_commits": self._max_lag_commits,

@@ -239,15 +239,13 @@ class CatalogRequestHandler(BaseHTTPRequestHandler):
         service = self._target
         snapshot = service.snapshot_commit_count  # type: ignore[union-attr]
         head = service.head_commit_count()  # type: ignore[union-attr]
-        resync = service.resync_stats()  # type: ignore[union-attr]
         entry: Dict[str, object] = {
             "replica_id": 0,
             "healthy": True,
             "snapshot_commit_count": snapshot,
             "lag": max(0, head - snapshot),
-            "resync": resync,
+            "resync": service.resync_stats(),  # type: ignore[union-attr]
         }
-        entry.update(resync)  # deprecated flat aliases (one release)
         self._reply(
             200,
             {
@@ -289,13 +287,16 @@ class CatalogHTTPServer(ThreadingHTTPServer):
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        # The pool fields exist before the socket binds: a failed bind
+        # calls server_close(), which must see them to re-raise the
+        # bind error instead of an AttributeError.
+        self._max_workers = max_workers
+        self._work_queue: Optional["queue.Queue[Optional[Tuple[object, object]]]"] = None
+        self._workers: List[threading.Thread] = []
         super().__init__(address, CatalogRequestHandler)
         self.service = service
         self.registry = registry if registry is not None else get_registry()
         self.log_requests = log_requests
-        self._max_workers = max_workers
-        self._work_queue: Optional["queue.Queue[Optional[Tuple[object, object]]]"] = None
-        self._workers: List[threading.Thread] = []
         if max_workers is not None:
             self._work_queue = queue.Queue()
             for worker_id in range(max_workers):

@@ -427,10 +427,7 @@ class CatalogSearchService:
         """JSON-compatible service + index statistics (the ``/stats`` body).
 
         Resync counters live under the nested ``resync`` key — the same
-        shape the fleet reports per replica.  The flat top-level copies
-        (``resyncs``, ``delta_resyncs``, ``full_resyncs``,
-        ``journal_truncations``) are deprecated aliases kept for one
-        release; consumers should move to ``payload["resync"]``.
+        shape the fleet reports per replica.
         """
         resync = self.resync_stats()
         with self._lock:
@@ -443,7 +440,6 @@ class CatalogSearchService:
                 "index": self._index.stats(),
                 "count_by_category": self._index.count_by_category(),
             }
-        payload.update(resync)  # deprecated flat aliases (one release)
         if self._reader is not None:
             payload["reader"] = self._reader.cache_stats()
             payload["store_path"] = self._reader.path

@@ -37,13 +37,6 @@ class TestRuntimeBenchConflicts:
             "WAL file",
         )
 
-    def test_processes_reject_process_executor(self, capsys):
-        expect_cli_error(
-            capsys,
-            ["runtime-bench", "--processes", "2", "--executor", "process"],
-            "daemonic",
-        )
-
     def test_resume_requires_sqlite(self, capsys):
         expect_cli_error(capsys, ["runtime-bench", "--resume"], "--store sqlite")
 
@@ -102,10 +95,8 @@ class TestStorePathValidation:
             ["--store", "sqlite", "--store-path", str(tmp_path / "ok.sqlite3")]
         )
         assert args.store == "sqlite"
-        assert args.executor == "process"
         args = cli._parse_runtime_bench_args(["--processes", "2"])
         assert args.store == "sqlite"
-        assert args.executor == "serial"
         assert args.store_path == "BENCH_catalog.sqlite3"
 
 

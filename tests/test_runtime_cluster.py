@@ -2,8 +2,8 @@
 
 Covers the ShardCoordinator's deterministic assignment and epoch
 bookkeeping, the FencedStoreView's stale-write rejection (the fencing
-acceptance criterion), node join/leave handoff with delta-protocol
-resync, and crash injection: a node killed mid-batch via the store's
+acceptance criterion), node join/leave handoff through the shared
+store, and crash injection: a node killed mid-batch via the store's
 fault hook is fenced, its shards are reassigned, and the recovered
 catalog is byte-identical to an uninterrupted run.
 """
@@ -244,13 +244,19 @@ class TestVersionFencing:
         victim_id = cluster.node_ids()[0]
         victim_view = cluster.node_view(victim_id)
         victim_shard = victim_view.lease.shards()[0]
+        victim_clusters = [
+            cluster_id
+            for shard in victim_view.lease.shards()
+            for cluster_id in cluster.store.shard_cluster_ids(shard)
+        ]
+        assert victim_clusters
         cluster.fence_node(victim_id)
 
         # Every write of the fenced node bounces — cluster-scoped ones...
         with pytest.raises(StaleEpochError, match="fenced"):
             victim_view.create_cluster(victim_shard, ("computing.hdd", "zombie-key"))
         with pytest.raises(StaleEpochError):
-            victim_view.advance_shard_version(victim_shard)
+            victim_view.set_product(victim_clusters[0], None)
         # ...global ones, and the commit barrier.
         with pytest.raises(StaleEpochError):
             victim_view.mark_seen("zombie-offer")
@@ -326,43 +332,6 @@ class TestMembership:
         for batch in batches[2:]:
             cluster.ingest(batch)
         assert sorted(fingerprint(cluster.products())) == feed_expected
-        cluster.close()
-
-    def test_handoff_resyncs_through_delta_protocol(self, tmp_path, tiny_harness):
-        """A new shard owner's workers rebuild state from the shared store."""
-        path = str(tmp_path / "handoff.sqlite3")
-        cluster = make_cluster(
-            tiny_harness,
-            num_nodes=2,
-            num_shards=8,
-            executor="process",
-            store="sqlite",
-            store_path=path,
-        )
-        batches = feed_stream(tiny_harness)
-        cluster.ingest(batches[0])
-        cluster.ingest(batches[1])
-        cluster.remove_node(cluster.node_ids()[0])
-        for batch in batches[2:]:
-            cluster.ingest(batch)
-        stats = cluster.transport_stats()
-        # The survivor's pinned workers had no state for the transferred
-        # shards and reloaded it straight from the durable store.
-        assert stats.worker_resyncs > 0
-        assert stats.full_retries == 0
-        cluster.close()
-
-    def test_handoff_full_reship_without_durable_store(self, tiny_harness):
-        cluster = make_cluster(tiny_harness, num_nodes=2, num_shards=8, executor="process")
-        batches = feed_stream(tiny_harness)
-        cluster.ingest(batches[0])
-        cluster.ingest(batches[1])
-        cluster.remove_node(cluster.node_ids()[0])
-        for batch in batches[2:]:
-            cluster.ingest(batch)
-        stats = cluster.transport_stats()
-        # No durable resync source: the engine re-shipped full contents.
-        assert stats.full_retries > 0
         cluster.close()
 
     def test_load_aware_rebalance_levels_shards_and_refences(self, tiny_harness, feed_expected):
@@ -607,7 +576,7 @@ class TestHintAccuracyGauge:
     """ISSUE 8 satellite (ROADMAP 5c): hint accuracy as a first-class gauge."""
 
     def test_transport_stats_gauge_semantics(self):
-        from repro.runtime.delta import TransportStats
+        from repro.runtime import TransportStats
 
         stats = TransportStats()
         assert stats.hint_accuracy is None  # hint routing never ran

@@ -8,13 +8,7 @@ from repro.model.catalog import Catalog
 from repro.model.merchants import Merchant
 from repro.model.offers import Offer
 from repro.model.taxonomy import Taxonomy
-from repro.runtime import (
-    SerialExecutor,
-    SynthesisEngine,
-    partition_by_shard,
-    resolve_executor,
-    shard_for_category,
-)
+from repro.runtime import SynthesisEngine, partition_by_shard, shard_for_category
 from repro.synthesis.pipeline import ProductSynthesisPipeline, stable_product_id
 from repro.text.tfidf import IncrementalTfIdf, TfIdfVectorizer
 
@@ -180,16 +174,6 @@ class TestEngineBasics:
 
 
 class TestExecutorParity:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_byte_identical_to_serial(self, tiny_harness, executor):
-        serial = make_engine(tiny_harness, num_shards=4, executor="serial")
-        parallel = make_engine(tiny_harness, num_shards=4, executor=executor)
-        for batch in stream(tiny_harness.unmatched_offers, 3):
-            serial.ingest(batch)
-            parallel.ingest(batch)
-        assert fingerprint(parallel.products()) == fingerprint(serial.products())
-        parallel.close()
-
     def test_shard_count_does_not_change_output(self, tiny_harness):
         narrow = make_engine(tiny_harness, num_shards=1)
         wide = make_engine(tiny_harness, num_shards=16)
@@ -206,27 +190,40 @@ class TestExecutorParity:
         assert fingerprint(streamed.products()) == fingerprint(one_shot.products())
 
     def test_engine_context_manager_closes_executor(self, tiny_harness):
-        with make_engine(tiny_harness, executor="thread") as engine:
+        with make_engine(tiny_harness) as engine:
             engine.ingest(tiny_harness.unmatched_offers[:20])
             assert engine.products() or engine.num_clusters() >= 0
 
     def test_engine_close_is_idempotent(self, tiny_harness):
-        engine = make_engine(tiny_harness, executor="thread")
+        engine = make_engine(tiny_harness)
         engine.ingest(tiny_harness.unmatched_offers[:20])
         engine.close()
         engine.close()  # safe to call twice
-        with make_engine(tiny_harness, executor="thread") as context_engine:
+        with make_engine(tiny_harness) as context_engine:
             context_engine.ingest(tiny_harness.unmatched_offers[:20])
         context_engine.close()  # and after __exit__
 
-    def test_resolve_executor_rejects_unknown_name(self):
-        with pytest.raises(ValueError) as excinfo:
-            resolve_executor("gpu")
-        # The error lists the valid executor names.
-        message = str(excinfo.value)
-        for name in ("serial", "thread", "process"):
-            assert name in message
-        assert isinstance(resolve_executor(None), SerialExecutor)
+    def test_one_builder_call_per_fused_cluster(self, tiny_harness, monkeypatch):
+        """Fusion goes through the module global once per fused cluster."""
+        from repro.runtime import engine as engine_module
+
+        calls = []
+        original = engine_module.build_product_from_cluster
+
+        def counting(cluster, attribute_names, fusion):
+            calls.append((cluster.category_id, cluster.key))
+            return original(cluster, attribute_names, fusion)
+
+        monkeypatch.setattr(engine_module, "build_product_from_cluster", counting)
+        engine = make_engine(tiny_harness, num_shards=4)
+        for batch in stream(tiny_harness.unmatched_offers, 3):
+            before = len(calls)
+            report = engine.ingest(batch)
+            # min_cluster_size=1: every touched cluster is fused, once.
+            assert len(calls) - before == report.clusters_touched
+            assert len(set(calls[before:])) == report.clusters_touched
+            assert report.products_refreshed == report.clusters_touched
+        assert calls
 
 
 class TestNoSchemaCategory:

@@ -67,12 +67,6 @@ class TestMultiProcessBasics:
     def test_reexported_from_cluster_module(self):
         assert ReexportedEngine is MultiProcessEngine
 
-    def test_rejects_process_node_executor(self, tmp_path, tiny_harness):
-        """Daemonic node processes cannot spawn worker pools; the
-        constructor must say so instead of failing opaquely mid-ingest."""
-        with pytest.raises(ValueError, match="daemonic"):
-            make_cluster(tiny_harness, tmp_path, num_nodes=2, node_executor="process")
-
     def test_node_processes_exit_when_coordinator_vanishes(self, tmp_path, tiny_harness):
         """Closing the coordinator-side pipe ends (what a coordinator
         hard crash does) must EOF every node, including earlier-spawned

@@ -1,9 +1,8 @@
-"""Tests for the pluggable catalog state layer and the delta protocol.
+"""Tests for the pluggable catalog state layer.
 
 Covers the CatalogStore backends (memory + durable SQLite), snapshot
-durability across simulated process kills, and the delta re-fusion
-protocol's resync paths (worker restart with and without a durable
-store to reload from).
+durability across simulated process kills, and the multi-process
+sharing contract of the SQLite store.
 """
 
 import pytest
@@ -11,6 +10,8 @@ import pytest
 from repro.model.offers import Offer
 from repro.runtime import (
     MemoryCatalogStore,
+    MultiNodeEngine,
+    MultiProcessEngine,
     SqliteCatalogStore,
     SynthesisEngine,
     resolve_store,
@@ -34,6 +35,55 @@ def make_engine(harness, **kwargs):
 def stream(offers, num_batches):
     size = max(1, (len(offers) + num_batches - 1) // num_batches)
     return [offers[start : start + size] for start in range(0, len(offers), size)]
+
+
+DEPLOYMENT_SHAPES = ["serial", "thread", "process"]
+
+
+def make_deployment(harness, shape, store_path=None):
+    """A four-shard runtime in one deployment shape; durable iff ``store_path``."""
+    store = {} if store_path is None else {"store": "sqlite", "store_path": store_path}
+    if shape == "serial":
+        return make_engine(harness, num_shards=4, **store)
+    if shape == "thread":
+        return MultiNodeEngine(
+            catalog=harness.corpus.catalog,
+            correspondences=harness.offline_result.correspondences,
+            extractor=harness.extractor,
+            category_classifier=harness.category_classifier,
+            num_nodes=2,
+            num_shards=4,
+            concurrent=True,
+            **store,
+        )
+    assert shape == "process" and store_path is not None
+    return MultiProcessEngine(
+        catalog=harness.corpus.catalog,
+        correspondences=harness.offline_result.correspondences,
+        extractor=harness.extractor,
+        category_classifier=harness.category_classifier,
+        num_nodes=2,
+        num_shards=4,
+        store_path=store_path,
+    )
+
+
+def abandon(engine):
+    """Drop a runtime as a crash would: no drain, no graceful shutdown."""
+    if isinstance(engine, MultiProcessEngine):
+        for node in engine._nodes.values():
+            node.kill()
+        engine._store.close()
+        engine._closed = True
+
+
+def assert_products(engine, shape, expected):
+    """Byte-identical products; node layouts may list them in another order."""
+    products = fingerprint(engine.products())
+    if shape == "serial":
+        assert products == expected
+    else:
+        assert sorted(products) == sorted(expected)
 
 
 @pytest.fixture(scope="module")
@@ -69,23 +119,16 @@ class TestCatalogStoreBasics:
         assert not store.mark_seen("o-1")
         assert store.mark_seen("o-2")
         assert store.num_seen() == 2
-        assert store.shard_version(3) == 0
-        assert store.advance_shard_version(3) == (0, 1)
-        assert store.advance_shard_version(3) == (1, 2)
-        assert store.shard_version(3) == 2
-        assert store.shard_version(0) == 0
+        assert store.shard_epoch(3) == 0
+        assert store.advance_shard_epoch(3) == 1
+        assert store.advance_shard_epoch(3) == 2
+        assert store.shard_epoch(3) == 2
+        assert store.shard_epoch(0) == 0
         store.merge_reconciliation_stats(ReconciliationStats(1, 2, 3, 4))
         copy = store.reconciliation_stats()
         copy.offers_processed = 99
         assert store.reconciliation_stats().offers_processed == 1
         store.close()
-
-    def test_store_tokens_unique(self, tmp_path):
-        first = MemoryCatalogStore()
-        second = MemoryCatalogStore()
-        third = SqliteCatalogStore(str(tmp_path / "cat.sqlite3"))
-        assert len({first.token, second.token, third.token}) == 3
-        third.close()
 
     def test_sqlite_rejects_future_format_untouched(self, tmp_path):
         import sqlite3
@@ -158,8 +201,6 @@ class TestCatalogStoreBasics:
             store.category_stats_for_update("computing.hdd")
         with pytest.raises(RuntimeError, match="closed"):
             store.merge_reconciliation_stats(ReconciliationStats())
-        with pytest.raises(RuntimeError, match="closed"):
-            store.advance_shard_version(0)
         with pytest.raises(RuntimeError, match="closed"):
             store.advance_shard_epoch(0)
         with pytest.raises(RuntimeError, match="closed"):
@@ -249,169 +290,87 @@ class TestSqliteRestore:
         products = fingerprint(engine.products())
         engine.close()
         restored = make_engine(tiny_harness, num_shards=2, store="sqlite", store_path=path)
-        # Versions reset with the new shard layout; products unaffected.
-        assert restored.store.shard_version(0) == 0
         assert fingerprint(restored.products()) == products
         restored.close()
 
 
 class TestSnapshotDurability:
-    """ISSUE 2 satellite: kill mid-stream, reopen, finish, byte-identical."""
+    """ISSUE 2 satellite: kill mid-stream, reopen, finish, byte-identical.
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    Parametrized over the runtime's deployment shapes: one serial
+    engine, in-process nodes dispatched on one thread each, and node
+    processes over the shared WAL file.
+    """
+
+    @pytest.mark.parametrize("shape", DEPLOYMENT_SHAPES)
     def test_kill_and_resume_matches_uninterrupted_run(
-        self, tmp_path, tiny_harness, expected_products, executor
+        self, tmp_path, tiny_harness, expected_products, shape
     ):
-        path = str(tmp_path / f"cat-{executor}.sqlite3")
+        path = str(tmp_path / f"cat-{shape}.sqlite3")
         batches = stream(tiny_harness.unmatched_offers, 4)
-        first = make_engine(
-            tiny_harness, num_shards=4, executor=executor, store="sqlite", store_path=path
-        )
+        first = make_deployment(tiny_harness, shape, store_path=path)
         for batch in batches[:2]:
             first.ingest(batch)
         # Simulated kill: the engine is abandoned without close(); every
         # ingest committed, so the store file is a consistent snapshot.
+        abandon(first)
         del first
 
-        second = make_engine(
-            tiny_harness, num_shards=4, executor=executor, store="sqlite", store_path=path
+        second = make_deployment(tiny_harness, shape, store_path=path)
+        for batch in batches[2:]:
+            second.ingest(batch)
+        assert_products(second, shape, expected_products)
+        second.close()
+
+    @pytest.mark.parametrize("shape", DEPLOYMENT_SHAPES)
+    def test_memory_and_sqlite_stores_byte_identical(
+        self, tmp_path, tiny_harness, expected_products, shape
+    ):
+        path = str(tmp_path / f"parity-{shape}.sqlite3")
+        # Node processes have no memory store; their in-memory twin is the
+        # same cluster layout as in-process nodes.
+        memory_shape = "thread" if shape == "process" else shape
+        memory = make_deployment(tiny_harness, memory_shape)
+        durable = make_deployment(tiny_harness, shape, store_path=path)
+        for batch in stream(tiny_harness.unmatched_offers, 3):
+            memory.ingest(batch)
+            durable.ingest(batch)
+        assert_products(memory, memory_shape, expected_products)
+        assert_products(durable, shape, expected_products)
+        memory.close()
+        durable.close()
+
+    def test_resume_over_file_with_legacy_shard_versions_table(
+        self, tmp_path, tiny_harness, expected_products
+    ):
+        """Files written before shard version counters were dropped still
+        carry a populated ``shard_versions`` table; the store ignores it."""
+        import sqlite3
+
+        path = str(tmp_path / "legacy.sqlite3")
+        batches = stream(tiny_harness.unmatched_offers, 4)
+        first = make_engine(tiny_harness, num_shards=4, store="sqlite", store_path=path)
+        for batch in batches[:2]:
+            first.ingest(batch)
+        first.close()
+        # The table exactly as older releases created and filled it.
+        connection = sqlite3.connect(path)
+        connection.execute(
+            "CREATE TABLE shard_versions ("
+            " shard INTEGER PRIMARY KEY, version INTEGER NOT NULL) WITHOUT ROWID"
         )
+        connection.executemany(
+            "INSERT INTO shard_versions (shard, version) VALUES (?, ?)",
+            [(shard, 2) for shard in range(4)],
+        )
+        connection.commit()
+        connection.close()
+
+        second = make_engine(tiny_harness, num_shards=4, store="sqlite", store_path=path)
         for batch in batches[2:]:
             second.ingest(batch)
         assert fingerprint(second.products()) == expected_products
         second.close()
-
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_memory_and_sqlite_stores_byte_identical(
-        self, tmp_path, tiny_harness, expected_products, executor
-    ):
-        path = str(tmp_path / f"parity-{executor}.sqlite3")
-        memory = make_engine(tiny_harness, num_shards=4, executor=executor)
-        durable = make_engine(
-            tiny_harness, num_shards=4, executor=executor, store="sqlite", store_path=path
-        )
-        for batch in stream(tiny_harness.unmatched_offers, 3):
-            memory.ingest(batch)
-            durable.ingest(batch)
-        assert fingerprint(memory.products()) == expected_products
-        assert fingerprint(durable.products()) == expected_products
-        memory.close()
-        durable.close()
-
-
-class TestDeltaProtocol:
-    def test_delta_requires_pinning_executor(self, tiny_harness):
-        with pytest.raises(ValueError, match="pinned dispatch"):
-            make_engine(tiny_harness, executor="serial", delta_refusion=True)
-
-    def test_delta_and_full_shipping_byte_identical(self, tiny_harness, expected_products):
-        delta = make_engine(tiny_harness, num_shards=4, executor="process")
-        full = make_engine(
-            tiny_harness, num_shards=4, executor="process", delta_refusion=False
-        )
-        for batch in stream(tiny_harness.unmatched_offers, 4):
-            delta.ingest(batch)
-            full.ingest(batch)
-        assert fingerprint(delta.products()) == expected_products
-        assert fingerprint(full.products()) == expected_products
-        # The delta protocol never ships more than full-state shipping.
-        assert (
-            delta.transport_stats().offers_shipped
-            <= full.transport_stats().offers_shipped
-        )
-        delta.close()
-        full.close()
-
-    def test_worker_restart_resyncs_from_sqlite(self, tmp_path, tiny_harness, expected_products):
-        path = str(tmp_path / "resync.sqlite3")
-        engine = make_engine(
-            tiny_harness, num_shards=4, executor="process", store="sqlite", store_path=path
-        )
-        batches = stream(tiny_harness.unmatched_offers, 4)
-        for batch in batches[:2]:
-            engine.ingest(batch)
-        # Kill every pinned worker: their shard-resident caches are gone,
-        # so clusters grown before the restart miss their base state.
-        engine._executor.close()
-        for batch in batches[2:]:
-            engine.ingest(batch)
-        assert fingerprint(engine.products()) == expected_products
-        # Workers reloaded the missing clusters straight from the store.
-        assert engine.transport_stats().worker_resyncs > 0
-        engine.close()
-
-    def test_transport_stats_accounting_under_delta_resync(self, tmp_path, tiny_harness):
-        """ISSUE 3 satellite: pin down every TransportStats field across
-        the worker-restart resync path (previously only asserted
-        indirectly through the bench)."""
-        path = str(tmp_path / "stats.sqlite3")
-        engine = make_engine(
-            tiny_harness, num_shards=4, executor="process", store="sqlite", store_path=path
-        )
-        offers = sorted(tiny_harness.unmatched_offers, key=lambda o: o.merchant_id)
-        batches = stream(offers, 4)
-        for batch in batches[:2]:
-            engine.ingest(batch)
-        mid = engine.transport_stats()
-        assert mid.batches == 2
-        assert mid.worker_resyncs == 0
-        assert mid.full_retries == 0
-        # Delta protocol invariant: every offer ships at most once (the
-        # feed-ordered tiny stream has no resync retries yet).
-        assert mid.offers_shipped <= sum(len(batch) for batch in batches[:2])
-        assert mid.clusters_shipped >= mid.shard_tasks > 0
-
-        # Kill every pinned worker; the next batches force resyncs.
-        engine._executor.close()
-        for batch in batches[2:]:
-            engine.ingest(batch)
-        stats = engine.transport_stats()
-        assert stats.batches == len(batches)
-        assert stats.worker_resyncs > 0
-        # The durable store satisfied every resync: no full re-ship, so
-        # shipped offers still never exceed the stream length.
-        assert stats.full_retries == 0
-        assert stats.offers_shipped <= len(offers)
-        assert stats.shard_tasks >= mid.shard_tasks
-        payload = stats.to_dict()
-        assert payload == {
-            "batches": stats.batches,
-            "shard_tasks": stats.shard_tasks,
-            "clusters_shipped": stats.clusters_shipped,
-            "offers_shipped": stats.offers_shipped,
-            "worker_resyncs": stats.worker_resyncs,
-            "full_retries": stats.full_retries,
-            "frames_sent": stats.frames_sent,
-            "frames_received": stats.frames_received,
-            "frame_bytes_sent": stats.frame_bytes_sent,
-            "frame_bytes_received": stats.frame_bytes_received,
-            "misrouted_offers": stats.misrouted_offers,
-            "hinted_offers": stats.hinted_offers,
-            "hint_accuracy": stats.hint_accuracy,
-        }
-        # merge() is plain summation (the multi-node aggregation path).
-        from repro.runtime import TransportStats
-
-        merged = TransportStats()
-        merged.merge(mid)
-        merged.merge(mid)
-        assert merged.batches == 2 * mid.batches
-        assert merged.offers_shipped == 2 * mid.offers_shipped
-        engine.close()
-
-    def test_worker_restart_falls_back_to_full_reship(self, tiny_harness, expected_products):
-        engine = make_engine(tiny_harness, num_shards=4, executor="process")
-        batches = stream(tiny_harness.unmatched_offers, 4)
-        for batch in batches[:2]:
-            engine.ingest(batch)
-        engine._executor.close()
-        for batch in batches[2:]:
-            engine.ingest(batch)
-        assert fingerprint(engine.products()) == expected_products
-        # No durable store to resync from: the engine re-shipped the
-        # missing clusters in full instead.
-        assert engine.transport_stats().full_retries > 0
-        engine.close()
 
 
 class TestPartitionedSharedStore:

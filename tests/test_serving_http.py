@@ -6,7 +6,9 @@ fast and hermetic: routing, parameter validation, JSON shapes, and the
 error paths.
 """
 
+import errno
 import json
+import socket
 import threading
 import urllib.error
 import urllib.parse
@@ -173,28 +175,37 @@ class TestStatsAndRouting:
 
 
 class TestNestedResyncShape:
-    """Satellite: /stats and /lag nest resync counters under "resync".
-
-    The flat top-level keys stay for one release as deprecated aliases;
-    both shapes must agree until the aliases are dropped.
-    """
+    """/stats and /lag nest resync counters under "resync", and only there."""
 
     RESYNC_KEYS = ("resyncs", "delta_resyncs", "full_resyncs", "journal_truncations")
 
-    def test_stats_nests_resync_with_flat_aliases(self, server_url):
+    def test_stats_nests_resync_without_flat_aliases(self, server_url):
         _, payload = get_json(f"{server_url}/stats")
         assert isinstance(payload["resync"], dict)
         assert set(payload["resync"]) == set(self.RESYNC_KEYS)
-        for key in self.RESYNC_KEYS:
-            assert payload[key] == payload["resync"][key]
+        assert not set(payload) & set(self.RESYNC_KEYS)
 
-    def test_lag_replicas_nest_resync_with_flat_aliases(self, server_url):
+    def test_lag_replicas_nest_resync_without_flat_aliases(self, server_url):
         _, payload = get_json(f"{server_url}/lag")
         assert payload["replicas"]
         for entry in payload["replicas"]:
             assert set(entry["resync"]) == set(self.RESYNC_KEYS)
-            for key in self.RESYNC_KEYS:
-                assert entry[key] == entry["resync"][key]
+            assert not set(entry) & set(self.RESYNC_KEYS)
+
+
+class TestBindFailure:
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    def test_occupied_port_raises_address_in_use(self, max_workers):
+        """The bind error surfaces as itself, not as a cleanup failure."""
+        service = CatalogSearchService(CatalogIndex(PRODUCTS))
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as occupant:
+            occupant.bind(("127.0.0.1", 0))
+            occupant.listen(1)
+            port = occupant.getsockname()[1]
+            with pytest.raises(OSError) as excinfo:
+                CatalogHTTPServer(("127.0.0.1", port), service, max_workers=max_workers)
+        service.close()
+        assert excinfo.value.errno == errno.EADDRINUSE
 
 
 class TestMetricsEndpoints:
