@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.extraction.dom import DomNode
 from repro.model.attributes import AttributeValue
@@ -22,8 +22,11 @@ def find_tables(root: DomNode) -> List[DomNode]:
 
     Nested tables are returned as separate entries (their rows would
     otherwise be double-counted by :func:`table_to_rows`, which only looks
-    at direct rows).
+    at direct rows).  A document root returned by ``parse_html`` answers
+    from the table list recorded while parsing.
     """
+    if root.tables is not None:
+        return list(root.tables)
     return root.find_all("table")
 
 
@@ -31,18 +34,15 @@ def table_to_rows(table: DomNode) -> List[List[str]]:
     """The text content of each row's cells.
 
     Both ``<td>`` and ``<th>`` cells are included; rows belonging to nested
-    tables are excluded.
+    tables are excluded.  Parsed tables carry their own rows (recorded at
+    parse time); a hand-built table is searched for them.
     """
     rows: List[List[str]] = []
-    nested_tables = set(id(node) for node in table.find_all("table"))
-    for row in table.find_all("tr"):
-        if _is_inside_nested_table(row, table, nested_tables):
-            continue
-        cells = [
-            cell.text_content()
-            for cell in row.children
-            if cell.tag in ("td", "th")
-        ]
+    table_rows = table.rows
+    if table_rows is None:
+        table_rows = [row for row in table.find_all("tr") if _nearest_table(row) is table]
+    for row in table_rows:
+        cells = [cell.text_content() for cell in row.children if cell.tag in ("td", "th")]
         # Some markup nests cells below intermediate elements; fall back to a
         # full descendant scan when the direct-children scan finds nothing.
         if not cells:
@@ -52,13 +52,11 @@ def table_to_rows(table: DomNode) -> List[List[str]]:
     return rows
 
 
-def _is_inside_nested_table(row: DomNode, table: DomNode, nested_ids: set) -> bool:
-    node = row.parent
-    while node is not None and node is not table:
-        if id(node) in nested_ids:
-            return True
-        node = node.parent
-    return False
+def _nearest_table(node: DomNode) -> Optional[DomNode]:
+    ancestor = node.parent
+    while ancestor is not None and ancestor.tag != "table":
+        ancestor = ancestor.parent
+    return ancestor
 
 
 def extract_pairs_from_tables(root: DomNode) -> List[AttributeValue]:

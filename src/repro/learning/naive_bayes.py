@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["MultinomialNaiveBayes"]
 
@@ -51,12 +51,14 @@ class MultinomialNaiveBayes:
         self._vocabulary: set = set()
         self._total_documents = 0
         self._finalized = False
+        self._log_table: Optional[List[Tuple[str, float, Dict[str, float], float]]] = None
 
     # -- training ---------------------------------------------------------
 
     def update(self, label: str, tokens: Sequence[str]) -> None:
         """Add one training document for class ``label``."""
         self._finalized = False
+        self._log_table = None
         self._class_document_counts[label] += 1
         self._total_documents += 1
         counts = self._token_counts[label]
@@ -73,15 +75,43 @@ class MultinomialNaiveBayes:
         return self
 
     def fit_finalize(self) -> None:
-        """Mark training as complete.
+        """Mark training as complete and build the scoring table.
 
         Calling predict before any training data was seen raises; calling
         it after :meth:`update` without :meth:`fit_finalize` is allowed (the
-        flag only exists to catch obviously empty models early).
+        flag only exists to catch obviously empty models early; the table
+        :meth:`update` drops is then rebuilt on the next prediction).
         """
         if not self._class_document_counts:
             raise RuntimeError("cannot finalise a Naive Bayes model with no training data")
         self._finalized = True
+        self._log_table = self._build_log_table()
+
+    def _build_log_table(self) -> List[Tuple[str, float, Dict[str, float], float]]:
+        """Per class: ``(label, log prior, {token: log-likelihood}, unseen)``.
+
+        Each entry is the float :meth:`log_prior` and
+        :meth:`token_log_likelihood` compute (``unseen`` is the latter for
+        a token with count 0), in class order, so scoring from the table
+        is bit-identical to scoring from the definitions.
+        """
+        vocabulary = max(self.vocabulary_size, 1)
+        table = []
+        for label in self._class_document_counts:
+            denominator = self._class_token_totals[label] + self.alpha * vocabulary
+            likelihoods = {
+                token: math.log((count + self.alpha) / denominator)
+                for token, count in self._token_counts[label].items()
+            }
+            unseen = math.log((0 + self.alpha) / denominator)
+            table.append((label, self.log_prior(label), likelihoods, unseen))
+        return table
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The log table is derived state: rebuilt on demand, never shipped.
+        state = dict(self.__dict__)
+        state["_log_table"] = None
+        return state
 
     # -- inference --------------------------------------------------------
 
@@ -116,11 +146,14 @@ class MultinomialNaiveBayes:
         """Unnormalised log posterior for every class."""
         if not self._class_document_counts:
             raise RuntimeError("model has no training data")
+        table = self._log_table
+        if table is None:
+            table = self._log_table = self._build_log_table()
         scores: Dict[str, float] = {}
-        for label in self._class_document_counts:
-            score = self.log_prior(label)
+        for label, score, likelihoods, unseen in table:
+            lookup = likelihoods.get
             for token in tokens:
-                score += self.token_log_likelihood(label, token)
+                score += lookup(token, unseen)
             scores[label] = score
         return scores
 

@@ -295,8 +295,10 @@ class SynthesisEngine:
 
         with self._obs.span("ingest.classify"):
             categorised = self._pipeline._assign_categories(fresh)
-        extracted = self._extract_specifications(categorised)
-        reconciled, stats = self._pipeline.reconciler.reconcile_offers(extracted)
+        with self._obs.span("ingest.extract"):
+            extracted = self._extract_specifications(categorised)
+        with self._obs.span("ingest.reconcile"):
+            reconciled, stats = self._pipeline.reconciler.reconcile_offers(extracted)
         for offer in fresh:
             self._store.mark_seen(offer.offer_id)
         self._store.merge_reconciliation_stats(stats)

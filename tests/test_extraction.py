@@ -1,11 +1,19 @@
 """Tests for the DOM parser, table extraction and the web-page attribute extractor."""
 
-import pytest
+import time
+from html.parser import HTMLParser
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.corpus.config import CorpusPreset
+from repro.corpus.generator import CorpusGenerator
 from repro.corpus.webstore import PageNotFoundError, WebStore
-from repro.extraction.dom import parse_html
+from repro.extraction.dom import DomNode, parse_html
 from repro.extraction.extractor import WebPageAttributeExtractor
 from repro.extraction.tables import extract_pairs_from_tables, find_tables, table_to_rows
+from repro.model.attributes import AttributeValue
 
 
 SPEC_PAGE = """
@@ -180,3 +188,236 @@ class TestWebStore:
     def test_empty_url_rejected(self):
         with pytest.raises(ValueError):
             WebStore().put("", "x")
+
+
+# --- reference oracle: the standard library's html.parser -------------------
+#
+# parse_html must build exactly the tree this html.parser-driven builder
+# builds, and table_to_rows must return exactly the rows the tree walk
+# below finds.  The oracle applies the same tree-building rules
+# (implicit closers, void elements, stray end tags, blank-text dropping).
+
+
+_VOID_ELEMENTS = frozenset(
+    ["area", "base", "br", "col", "embed", "hr", "img", "input", "link", "meta", "param"]
+    + ["source", "track", "wbr"]
+)
+_IMPLICIT_CLOSERS = {
+    "td": ("td", "th"),
+    "th": ("td", "th"),
+    "tr": ("td", "th", "tr"),
+    "li": ("li",),
+    "option": ("option",),
+    "p": ("p",),
+}
+
+
+class _OracleTreeBuilder(HTMLParser):
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.root = DomNode(tag="document")
+        self._stack = [self.root]
+
+    def handle_starttag(self, tag, attrs):
+        tag = tag.lower()
+        closes = _IMPLICIT_CLOSERS.get(tag)
+        if closes:
+            while len(self._stack) > 1 and self._stack[-1].tag in closes:
+                self._stack.pop()
+        node = DomNode(tag=tag, attributes={name.lower(): (value or "") for name, value in attrs})
+        self._stack[-1].add_child(node)
+        if tag not in _VOID_ELEMENTS:
+            self._stack.append(node)
+
+    def handle_startendtag(self, tag, attrs):
+        node = DomNode(
+            tag=tag.lower(), attributes={name.lower(): (value or "") for name, value in attrs}
+        )
+        self._stack[-1].add_child(node)
+
+    def handle_endtag(self, tag):
+        tag = tag.lower()
+        if tag in _VOID_ELEMENTS:
+            return
+        for index in range(len(self._stack) - 1, 0, -1):
+            if self._stack[index].tag == tag:
+                del self._stack[index:]
+                return
+
+    def handle_data(self, data):
+        if not data or not data.strip():
+            return
+        self._stack[-1].add_child(DomNode(tag=None, text=data.strip()))
+
+
+def oracle_parse(html_text):
+    builder = _OracleTreeBuilder()
+    builder.feed(html_text or "")
+    builder.close()
+    return builder.root
+
+
+def oracle_rows(table):
+    """Rows by tree walk: every descendant ``tr`` not inside a nested table."""
+    nested = {id(node) for node in table.find_all("table")}
+    rows = []
+    for row in table.find_all("tr"):
+        node, inside_nested = row.parent, False
+        while node is not None and node is not table:
+            inside_nested = inside_nested or id(node) in nested
+            node = node.parent
+        if inside_nested:
+            continue
+        cells = [cell.text_content() for cell in row.children if cell.tag in ("td", "th")]
+        if not cells:
+            cells = [cell.text_content() for cell in row.find_all("td") + row.find_all("th")]
+        if cells:
+            rows.append(cells)
+    return rows
+
+
+def oracle_pairs(root):
+    pairs = []
+    for table in root.find_all("table"):
+        for cells in oracle_rows(table):
+            if len(cells) != 2:
+                continue
+            name, value = cells[0].strip(), cells[1].strip()
+            if name and value and len(name) <= 60 and len(value) <= 200:
+                pairs.append((name, value))
+    return pairs
+
+
+def tree_shape(node):
+    if node.tag is None:
+        return node.text
+    return (node.tag, sorted(node.attributes.items()), [tree_shape(c) for c in node.children])
+
+
+# Markup fragments: table structure in mixed case, implicit closers, stray
+# and unmatched end tags, void and self-closing tags, comments, a doctype,
+# raw-text script/style bodies, entities, quoted ``>`` and whitespace runs.
+# Every construct is well-terminated: how html.parser treats markup cut
+# off at end of input differs between Python releases.
+_TABLE_TAGS = ["table", "TABLE", "Table", "tr", "TR", "td", "Td", "th", "TH", "tbody"]
+_TAGS = _TABLE_TAGS + ["li", "p", "P", "option", "div", "span", "b", "ul"]
+_ATTRIBUTE = st.sampled_from(
+    [
+        "",
+        " class='specs'",
+        ' class="a > b"',
+        " class='x&amp;y'",
+        ' CLASS="Nav" id=main',
+        " checked",
+        " data-x='1' data-x='2'",
+        ' title="&lt;td&gt;"',
+        " class=bare",
+    ]
+)
+_FRAGMENT = st.one_of(
+    st.builds("<{}{}>".format, st.sampled_from(_TAGS), _ATTRIBUTE),
+    st.builds("</{}>".format, st.sampled_from(_TAGS + ["br", "img", "x", "document"])),
+    st.sampled_from(
+        [
+            "<br>",
+            "<br/>",
+            "<BR />",
+            "<img src='a>b.png'>",
+            "<hr class=x>",
+            "<td/>",
+            "<tr />",
+            "<table/>",
+            "<p class='c'/>",
+            "<!-- a comment <td>x</td> -->",
+            "<!DOCTYPE html>",
+            "<script>if (a < b) { s = '<td>x</td>' + '&amp;'; }</script>",
+            "<SCRIPT type='text/javascript'>  </SCRIPT>",
+            "<style>td > p { content: '&lt;' }</style>",
+            "Brand",
+            "Hitachi &amp; Co",
+            "500&nbsp;GB",
+            "&lt;b&gt; &#39;q&#39; &copy;",
+            "  \n\t  ",
+            "a < b",
+            "x <5",
+            "Model  \n  Part",
+        ]
+    ),
+)
+
+
+def _tables(inner):
+    """Tables nesting ``inner`` markup in their cells; end tags optional."""
+    cell = st.builds(
+        "<{0}>{1}{2}".format,
+        st.sampled_from(["td", "th", "TD"]),
+        inner,
+        st.sampled_from(["", "</td>", "</th>"]),
+    )
+    row = st.builds(
+        "<tr>{}{}".format, st.lists(cell, max_size=3).map("".join), st.sampled_from(["", "</tr>"])
+    )
+    return st.builds(
+        "<table{}>{}{}".format,
+        _ATTRIBUTE,
+        st.lists(row, max_size=3).map("".join),
+        st.sampled_from(["</table>", "</table>", ""]),
+    )
+
+
+_NESTED = st.recursive(_FRAGMENT, lambda inner: st.one_of(inner, _tables(inner)), max_leaves=12)
+_MARKUP = st.lists(_NESTED, max_size=12).map("".join)
+
+
+class TestParserMatchesHtmlParserOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(markup=_MARKUP)
+    @example(markup="</document></td><p>ok</p>")
+    @example(markup="<table><tr><td>a<table><tr><td>b<td>c</table><td>d</td></tr></table>")
+    @example(markup="<td><script>x = '<td>&amp;</td>';</script>y<style>a > b</style>")
+    @example(markup="<TD class='a > b' CHECKED>a < b &amp; c<br/><td/>d")
+    def test_generated_markup(self, markup):
+        root, reference = parse_html(markup), oracle_parse(markup)
+        assert tree_shape(root) == tree_shape(reference)
+        tables, reference_tables = find_tables(root), reference.find_all("table")
+        assert [table_to_rows(t) for t in tables] == [oracle_rows(t) for t in reference_tables]
+        assert [t.get_attribute("class") for t in tables] == [
+            t.get_attribute("class") for t in reference_tables
+        ]
+        assert [td.text_content() for td in root.find_all("td")] == [
+            td.text_content() for td in reference.find_all("td")
+        ]
+        assert [(p.name, p.value) for p in extract_pairs_from_tables(root)] == oracle_pairs(
+            reference
+        )
+
+    def test_every_small_corpus_page(self):
+        web = CorpusGenerator.from_preset(CorpusPreset.SMALL).generate().web
+        extractor = WebPageAttributeExtractor(web)
+        for url in web.urls():
+            page = web.fetch(url)
+            expected = oracle_pairs(oracle_parse(page))
+            assert extractor.extract_from_url(url).pairs() == [
+                AttributeValue(name, value) for name, value in expected
+            ], url
+
+    def test_unterminated_start_tag_fails_in_linear_time(self):
+        """A start tag whose attributes never reach ``>`` must not retry
+        every split of their whitespace (3**60 tries here)."""
+        markup = "<table><tr><td>x</td><td><a" + " b=c  " * 60 + 'd="'
+        started = time.perf_counter()
+        root = parse_html(markup)
+        assert time.perf_counter() - started < 2.0
+        assert [td.text_content() for td in root.find_all("td")][0] == "x"
+
+    def test_hand_built_table_rows(self):
+        """Rows of a table not built by parse_html come from a tree search."""
+        table = DomNode("table")
+        outer = table.add_child(DomNode("tr"))
+        outer.add_child(DomNode("td")).add_child(DomNode(None, text="Brand"))
+        nested = outer.add_child(DomNode("td")).add_child(DomNode("table"))
+        nested.add_child(DomNode("tr")).add_child(DomNode("td")).add_child(
+            DomNode(None, text="inner")
+        )
+        assert table_to_rows(table) == oracle_rows(table) == [["Brand", "inner"]]
+        assert find_tables(table) == [nested]

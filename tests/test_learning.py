@@ -1,5 +1,7 @@
 """Tests for the ML substrate: logistic regression, Naive Bayes, metrics, matching."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,55 @@ class TestNaiveBayes:
         nb = MultinomialNaiveBayes().fit([("a", ["x"]), ("b", ["y"])])
         assert set(nb.classes) == {"a", "b"}
         assert nb.vocabulary_size == 2
+
+
+def _reference_log_scores(nb: MultinomialNaiveBayes, tokens) -> dict:
+    """``log_prior + sum(token_log_likelihood)`` per class, summed in order."""
+    scores = {}
+    for label in nb.classes:
+        score = nb.log_prior(label)
+        for token in tokens:
+            score += nb.token_log_likelihood(label, token)
+        scores[label] = score
+    return scores
+
+
+_NB_TOKENS = st.sampled_from(["seagate", "rpm", "canon", "zoom", "500", "gb", "sata", "eos"])
+_NB_DOCUMENTS = st.lists(
+    st.tuples(st.sampled_from(["hdd", "camera", "tv", "lens"]), st.lists(_NB_TOKENS, max_size=6)),
+    min_size=1,
+    max_size=12,
+)
+# Queries mix trained tokens with ones no class has seen.
+_NB_QUERY = st.lists(st.one_of(_NB_TOKENS, st.sampled_from(["zzz", "unseen", ""])), max_size=8)
+
+
+class TestNaiveBayesLogTable:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        documents=_NB_DOCUMENTS,
+        late=_NB_DOCUMENTS,
+        query=_NB_QUERY,
+        alpha=st.sampled_from([1.0, 0.5, 0.1, 2.5]),
+    )
+    def test_log_scores_bit_identical_to_definition(self, documents, late, query, alpha):
+        nb = MultinomialNaiveBayes(alpha=alpha).fit(documents)
+        assert nb.log_scores(query) == _reference_log_scores(nb, query)
+        # update() after fit_finalize() invalidates the table; scoring
+        # rebuilds it without another fit_finalize().
+        for label, tokens in late:
+            nb.update(label, tokens)
+        assert nb.log_scores(query) == _reference_log_scores(nb, query)
+        nb.fit_finalize()
+        expected = _reference_log_scores(nb, query)
+        assert list(nb.log_scores(query)) == list(expected)
+        assert nb.log_scores(query) == expected
+        # The table is derived state: a pickle carries none and the copy
+        # scores identically.
+        copy = pickle.loads(pickle.dumps(nb))
+        assert copy._log_table is None
+        assert copy.log_scores(query) == expected
+        assert copy.predict(query) == nb.predict(query)
 
 
 class TestMetrics:

@@ -1,5 +1,7 @@
 """Tests for the streaming runtime engine (repro.runtime)."""
 
+import time
+
 import pytest
 
 from repro.matching.correspondence import AttributeCorrespondence, CorrespondenceSet
@@ -8,6 +10,7 @@ from repro.model.catalog import Catalog
 from repro.model.merchants import Merchant
 from repro.model.offers import Offer
 from repro.model.taxonomy import Taxonomy
+from repro.obs import MetricsRegistry, set_registry
 from repro.runtime import SynthesisEngine, partition_by_shard, shard_for_category
 from repro.synthesis.pipeline import ProductSynthesisPipeline, stable_product_id
 from repro.text.tfidf import IncrementalTfIdf, TfIdfVectorizer
@@ -171,6 +174,38 @@ class TestEngineBasics:
         engine.ingest(tiny_harness.unmatched_offers)
         assert engine.snapshot().category_vocabulary == {}
         assert engine.products()  # synthesis itself is unaffected
+
+
+class TestIngestSpans:
+    def test_extract_and_reconcile_spans_cover_ingest_wall_time(self, tiny_harness, tiny_corpus):
+        """Every raw-offer batch times its extraction and reconciliation,
+        and the ``ingest.*`` spans account for the ingest wall time."""
+        registry = MetricsRegistry()
+        original = set_registry(registry)
+        try:
+            engine = make_engine(tiny_harness)
+            batches = stream(tiny_corpus.unmatched_offers(), 6)
+            batches.append(batches[0])  # a replay: no new offers, no stage spans
+            wall = 0.0
+            fresh_batches = 0
+            for batch in batches:
+                started = time.perf_counter()
+                report = engine.ingest(batch)
+                wall += time.perf_counter() - started
+                fresh_batches += report.offers_new > 0
+        finally:
+            set_registry(original)
+        histograms = registry.snapshot()["histograms"]
+        spans = {
+            key[len('span_seconds{span="') : -len('"}')]: series
+            for key, series in histograms.items()
+            if key.startswith('span_seconds{span="ingest.')
+        }
+        assert fresh_batches == 6
+        assert spans["ingest.extract"]["count"] == fresh_batches
+        assert spans["ingest.reconcile"]["count"] == fresh_batches
+        covered = sum(series["sum"] for series in spans.values())
+        assert covered >= 0.95 * wall, (covered, wall)
 
 
 class TestExecutorParity:
