@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, List
 
 from repro.corpus.webstore import PageNotFoundError, WebStore
-from repro.extraction.dom import parse_html
-from repro.extraction.tables import extract_pairs_from_tables
+from repro.extraction.tables import extract_pairs
 from repro.model.attributes import Specification
 from repro.model.offers import Offer
 
@@ -63,8 +62,7 @@ class WebPageAttributeExtractor:
 
     def extract_from_html(self, html_text: str) -> Specification:
         """Extract attribute-value pairs from raw HTML."""
-        root = parse_html(html_text)
-        return Specification(extract_pairs_from_tables(root))
+        return Specification(extract_pairs(html_text))
 
     def extract_from_url(self, url: str) -> Specification:
         """Extract attribute-value pairs from the page behind ``url``.

@@ -8,7 +8,7 @@ Web-page Attribute Extraction component from the merchant landing page.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.model.attributes import Specification
@@ -68,13 +68,38 @@ class Offer:
         """Number of attribute-value pairs in the offer specification."""
         return len(self.specification)
 
+    # The two copies below pass every field through by hand: they run once
+    # or twice per ingested offer, and ``dataclasses.replace``, which
+    # re-reads the class's fields on every call, costs about four times
+    # as much as this direct construction.
+
     def with_specification(self, specification: Specification) -> "Offer":
         """A copy of this offer carrying a different specification."""
-        return replace(self, specification=specification)
+        return Offer(
+            self.offer_id,
+            self.merchant_id,
+            self.title,
+            self.price,
+            self.url,
+            self.image_url,
+            self.feed_category,
+            self.category_id,
+            specification,
+        )
 
     def with_category(self, category_id: str) -> "Offer":
         """A copy of this offer assigned to a catalog category."""
-        return replace(self, category_id=category_id)
+        return Offer(
+            self.offer_id,
+            self.merchant_id,
+            self.title,
+            self.price,
+            self.url,
+            self.image_url,
+            self.feed_category,
+            category_id,
+            self.specification,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

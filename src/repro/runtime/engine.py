@@ -299,12 +299,13 @@ class SynthesisEngine:
             extracted = self._extract_specifications(categorised)
         with self._obs.span("ingest.reconcile"):
             reconciled, stats = self._pipeline.reconciler.reconcile_offers(extracted)
-        for offer in fresh:
-            self._store.mark_seen(offer.offer_id)
-        self._store.merge_reconciliation_stats(stats)
-        for offer in categorised:
-            if offer.category_id is not None:
-                self._store.record_category(offer.offer_id, offer.category_id)
+        with self._obs.span("store.mark_seen"):
+            for offer in fresh:
+                self._store.mark_seen(offer.offer_id)
+            self._store.merge_reconciliation_stats(stats)
+            for offer in categorised:
+                if offer.category_id is not None:
+                    self._store.record_category(offer.offer_id, offer.category_id)
 
         with self._obs.span("ingest.route"):
             pending = self._route_to_clusters(reconciled, report)

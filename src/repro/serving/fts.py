@@ -54,7 +54,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.model.persistence import product_from_dict, product_to_dict
 from repro.model.products import Product
 from repro.runtime.engine import CommitEvent
-from repro.serving.index import CatalogIndex, SearchResult, _product_text
+from repro.serving.index import CatalogIndex, SearchResult, _product_text, top_ranked
 from repro.synthesis.pipeline import stable_product_id
 from repro.text.normalize import normalize_attribute_name, normalize_value
 from repro.text.tfidf import IncrementalTfIdf
@@ -463,8 +463,7 @@ class FtsCatalogIndex:
             if norm == 0.0:
                 continue
             ranked.append((raw_score / norm, product_id))
-        ranked.sort(key=lambda item: (-item[0], item[1]))
-        top = ranked[:top_k]
+        top = top_ranked(ranked, top_k)
         # Product JSON is parsed for the k winners only.
         products: Dict[str, Product] = {}
         top_ids = [product_id for _, product_id in top]

@@ -25,6 +25,7 @@ prefix of the stream, never a half-applied batch.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -77,6 +78,13 @@ def _product_text(product: Product) -> str:
     parts = [product.title]
     parts.extend(pair.value for pair in product.specification)
     return " ".join(part for part in parts if part)
+
+
+def top_ranked(ranked: Iterable[Tuple[float, str]], top_k: int) -> List[Tuple[float, str]]:
+    """The ``top_k`` best ``(score, product_id)`` hits: descending score,
+    ties broken by product id.  Equal to a full sort cut to ``top_k``,
+    without sorting the hits that do not make it."""
+    return heapq.nsmallest(top_k, ranked, key=lambda hit: (-hit[0], hit[1]))
 
 
 class CatalogIndex:
@@ -262,17 +270,18 @@ class CatalogIndex:
                 scores[product_id] = (
                     scores.get(product_id, 0.0) + query_weight * frequency * token_idf
                 )
-        ranked: List[SearchResult] = []
+        ranked: List[Tuple[float, str]] = []
         for product_id, raw_score in scores.items():
-            document = self._documents[product_id]
-            if not self._matches_filters(document, category, attributes):
+            if not self._matches_filters(self._documents[product_id], category, attributes):
                 continue
             norm = self._document_norm(product_id)
             if norm == 0.0:
                 continue
-            ranked.append(SearchResult(product=document.product, score=raw_score / norm))
-        ranked.sort(key=lambda result: (-result.score, result.product.product_id))
-        return ranked[:top_k]
+            ranked.append((raw_score / norm, product_id))
+        return [
+            SearchResult(product=self._documents[product_id].product, score=score)
+            for score, product_id in top_ranked(ranked, top_k)
+        ]
 
     def get_product(self, product_id: str) -> Optional[Product]:
         """The indexed product with this id, or ``None``."""

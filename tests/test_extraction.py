@@ -1,4 +1,4 @@
-"""Tests for the DOM parser, table extraction and the web-page attribute extractor."""
+"""Tests for table-row harvesting and the web-page attribute extractor."""
 
 import time
 from html.parser import HTMLParser
@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from repro.corpus.config import CorpusPreset
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.webstore import PageNotFoundError, WebStore
-from repro.extraction.dom import DomNode, parse_html
 from repro.extraction.extractor import WebPageAttributeExtractor
-from repro.extraction.tables import extract_pairs_from_tables, find_tables, table_to_rows
+from repro.extraction.tables import extract_pairs, table_rows
 from repro.model.attributes import AttributeValue
 
 
@@ -53,60 +52,54 @@ MESSY_PAGE = """
 
 
 class TestDomParser:
+    """The page-parsing rules, seen through the rows they yield."""
+
     def test_find_all_and_text_content(self):
-        root = parse_html(SPEC_PAGE)
-        cells = [cell.text_content() for cell in root.find_all("td")]
+        cells = [cell for rows in table_rows(SPEC_PAGE) for row in rows for cell in row]
         assert "Hitachi" in cells and "500 GB" in cells
 
     def test_find_first(self):
-        root = parse_html(SPEC_PAGE)
-        assert root.find_first("h1").text_content() == "Hitachi Deskstar T7K500"
-        assert root.find_first("video") is None
+        # Tables come in document order; text outside them is not harvested.
+        tables = table_rows(SPEC_PAGE)
+        assert tables[0] == [["Home", "Cart"]]
+        assert "Hitachi Deskstar T7K500" not in str(tables)
 
     def test_attributes_are_parsed(self):
-        root = parse_html(SPEC_PAGE)
-        tables = root.find_all("table")
-        assert tables[0].get_attribute("class") == "nav"
-        assert tables[1].get_attribute("class") == "specs"
+        # A quoted ``>`` inside an attribute value does not end the tag.
+        html = "<table class='a > b' id=x><tr><td title=\"<td>\">Brand<td>Hitachi</table>"
+        assert table_rows(html) == [[["Brand", "Hitachi"]]]
 
     def test_void_elements_do_not_break_nesting(self):
-        root = parse_html(MESSY_PAGE)
-        assert root.find_all("img")
-        assert root.find_all("br")
+        # Were ``br``/``img`` opened, the next ``td`` would nest below them.
+        html = "<table><tr><td>a<br>b<td>c<img src='x.png'><td>d</table>"
+        assert table_rows(html) == [[["a b", "c", "d"]]]
 
     def test_unclosed_tags_tolerated(self):
-        root = parse_html("<table><tr><td>A<td>B")
-        cells = [cell.text_content() for cell in root.find_all("td")]
-        assert cells == ["A", "B"]
+        assert table_rows("<table><tr><td>A<td>B") == [[["A", "B"]]]
 
     def test_empty_document(self):
-        root = parse_html("")
-        assert root.find_all("table") == []
+        assert table_rows("") == []
+        assert extract_pairs("") == []
 
     def test_text_content_normalises_whitespace(self):
-        root = parse_html("<p>  lots \n of   space </p>")
-        assert root.find_first("p").text_content() == "lots of space"
+        html = "<table><tr><td>  lots \n of   space </td></tr></table>"
+        assert table_rows(html) == [[["lots of space"]]]
 
     def test_stray_end_tag_ignored(self):
-        root = parse_html("</div><p>ok</p>")
-        assert root.find_first("p").text_content() == "ok"
+        assert table_rows("</div></td><table><tr><td>ok</table>") == [[["ok"]]]
 
 
 class TestTableExtraction:
     def test_find_tables(self):
-        root = parse_html(SPEC_PAGE)
-        assert len(find_tables(root)) == 2
+        assert len(table_rows(SPEC_PAGE)) == 2
 
     def test_table_to_rows(self):
-        root = parse_html(SPEC_PAGE)
-        specs_table = find_tables(root)[1]
-        rows = table_to_rows(specs_table)
+        rows = table_rows(SPEC_PAGE)[1]
         assert ["Brand", "Hitachi"] in rows
         assert ["Capacity", "500 GB"] in rows
 
     def test_extract_pairs_only_two_column_rows(self):
-        root = parse_html(MESSY_PAGE)
-        pairs = extract_pairs_from_tables(root)
+        pairs = extract_pairs(MESSY_PAGE)
         names = [pair.name for pair in pairs]
         assert "Brand" in names
         assert "Nested Attr" in names
@@ -114,14 +107,13 @@ class TestTableExtraction:
         assert "Three" not in names
 
     def test_extract_pairs_from_spec_page(self):
-        root = parse_html(SPEC_PAGE)
-        pairs = {pair.name: pair.value for pair in extract_pairs_from_tables(root)}
+        pairs = {pair.name: pair.value for pair in extract_pairs(SPEC_PAGE)}
         assert pairs["Brand"] == "Hitachi"
         assert pairs["Interface"] == "Serial ATA-300"
 
     def test_overlong_cells_dropped(self):
         html = f"<table><tr><td>{'x' * 300}</td><td>value</td></tr></table>"
-        assert extract_pairs_from_tables(parse_html(html)) == []
+        assert extract_pairs(html) == []
 
 
 class TestWebPageAttributeExtractor:
@@ -192,10 +184,10 @@ class TestWebStore:
 
 # --- reference oracle: the standard library's html.parser -------------------
 #
-# parse_html must build exactly the tree this html.parser-driven builder
-# builds, and table_to_rows must return exactly the rows the tree walk
-# below finds.  The oracle applies the same tree-building rules
-# (implicit closers, void elements, stray end tags, blank-text dropping).
+# table_rows must return exactly the rows a tree walk finds in the tree
+# this html.parser-driven builder builds, and extract_pairs the pairs.
+# The oracle applies the same tree-building rules (implicit closers, void
+# elements, stray end tags, blank-text dropping).
 
 
 _VOID_ELEMENTS = frozenset(
@@ -212,10 +204,34 @@ _IMPLICIT_CLOSERS = {
 }
 
 
+class _Node:
+    """An oracle tree node; ``tag`` is ``None`` for text."""
+
+    def __init__(self, tag, text=""):
+        self.tag, self.text, self.children, self.parent = tag, text, [], None
+
+    def add_child(self, child):
+        child.parent = self
+        self.children.append(child)
+        return child
+
+    def iter_descendants(self):
+        for child in self.children:
+            yield child
+            yield from child.iter_descendants()
+
+    def find_all(self, tag):
+        return [node for node in self.iter_descendants() if node.tag == tag]
+
+    def text_content(self):
+        texts = [node.text for node in self.iter_descendants() if node.tag is None]
+        return " ".join(" ".join(texts).split())
+
+
 class _OracleTreeBuilder(HTMLParser):
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self.root = DomNode(tag="document")
+        self.root = _Node("document")
         self._stack = [self.root]
 
     def handle_starttag(self, tag, attrs):
@@ -224,16 +240,12 @@ class _OracleTreeBuilder(HTMLParser):
         if closes:
             while len(self._stack) > 1 and self._stack[-1].tag in closes:
                 self._stack.pop()
-        node = DomNode(tag=tag, attributes={name.lower(): (value or "") for name, value in attrs})
-        self._stack[-1].add_child(node)
+        node = self._stack[-1].add_child(_Node(tag))
         if tag not in _VOID_ELEMENTS:
             self._stack.append(node)
 
     def handle_startendtag(self, tag, attrs):
-        node = DomNode(
-            tag=tag.lower(), attributes={name.lower(): (value or "") for name, value in attrs}
-        )
-        self._stack[-1].add_child(node)
+        self._stack[-1].add_child(_Node(tag.lower()))
 
     def handle_endtag(self, tag):
         tag = tag.lower()
@@ -247,7 +259,7 @@ class _OracleTreeBuilder(HTMLParser):
     def handle_data(self, data):
         if not data or not data.strip():
             return
-        self._stack[-1].add_child(DomNode(tag=None, text=data.strip()))
+        self._stack[-1].add_child(_Node(None, data.strip()))
 
 
 def oracle_parse(html_text):
@@ -286,12 +298,6 @@ def oracle_pairs(root):
             if name and value and len(name) <= 60 and len(value) <= 200:
                 pairs.append((name, value))
     return pairs
-
-
-def tree_shape(node):
-    if node.tag is None:
-        return node.text
-    return (node.tag, sorted(node.attributes.items()), [tree_shape(c) for c in node.children])
 
 
 # Markup fragments: table structure in mixed case, implicit closers, stray
@@ -376,20 +382,21 @@ class TestParserMatchesHtmlParserOracle:
     @example(markup="<table><tr><td>a<table><tr><td>b<td>c</table><td>d</td></tr></table>")
     @example(markup="<td><script>x = '<td>&amp;</td>';</script>y<style>a > b</style>")
     @example(markup="<TD class='a > b' CHECKED>a < b &amp; c<br/><td/>d")
+    # Self-closing cells are empty and never open.
+    @example(markup="<table><tr><td/><td>x</td><th/>y</table>")
+    # A start tag whose attributes do not end in > is text.
+    @example(markup="<table><tr><td>a<b'= =='x>c<td>d</table>")
+    # A row with no direct cells: all its td, then all its th.
+    @example(markup="<table><tr><b><th>h</th><td>a</td></b><p><td>b<th>i</table>")
+    # Two nested cells holding equal text when the inner one closes: the
+    # text after it belongs to the outer cell only.
+    @example(markup="<table><tr><td><table><tr><td>x</table>y<td>z</table>")
+    # Nested-table text counts in the enclosing cell.
+    @example(markup="<table><tr><td>Brand<td><table><tr><td>Hi<td>tachi</table></table>")
     def test_generated_markup(self, markup):
-        root, reference = parse_html(markup), oracle_parse(markup)
-        assert tree_shape(root) == tree_shape(reference)
-        tables, reference_tables = find_tables(root), reference.find_all("table")
-        assert [table_to_rows(t) for t in tables] == [oracle_rows(t) for t in reference_tables]
-        assert [t.get_attribute("class") for t in tables] == [
-            t.get_attribute("class") for t in reference_tables
-        ]
-        assert [td.text_content() for td in root.find_all("td")] == [
-            td.text_content() for td in reference.find_all("td")
-        ]
-        assert [(p.name, p.value) for p in extract_pairs_from_tables(root)] == oracle_pairs(
-            reference
-        )
+        reference = oracle_parse(markup)
+        assert table_rows(markup) == [oracle_rows(t) for t in reference.find_all("table")]
+        assert [(p.name, p.value) for p in extract_pairs(markup)] == oracle_pairs(reference)
 
     def test_every_small_corpus_page(self):
         web = CorpusGenerator.from_preset(CorpusPreset.SMALL).generate().web
@@ -406,18 +413,17 @@ class TestParserMatchesHtmlParserOracle:
         every split of their whitespace (3**60 tries here)."""
         markup = "<table><tr><td>x</td><td><a" + " b=c  " * 60 + 'd="'
         started = time.perf_counter()
-        root = parse_html(markup)
+        rows = table_rows(markup)
         assert time.perf_counter() - started < 2.0
-        assert [td.text_content() for td in root.find_all("td")][0] == "x"
+        assert rows[0][0][0] == "x"
 
     def test_hand_built_table_rows(self):
-        """Rows of a table not built by parse_html come from a tree search."""
-        table = DomNode("table")
-        outer = table.add_child(DomNode("tr"))
-        outer.add_child(DomNode("td")).add_child(DomNode(None, text="Brand"))
-        nested = outer.add_child(DomNode("td")).add_child(DomNode("table"))
-        nested.add_child(DomNode("tr")).add_child(DomNode("td")).add_child(
-            DomNode(None, text="inner")
-        )
-        assert table_to_rows(table) == oracle_rows(table) == [["Brand", "inner"]]
-        assert find_tables(table) == [nested]
+        """A row's cell holding a nested table: the row reads the nested
+        text, and the nested table is a table of its own."""
+        markup = "<table><tr><td>Brand</td><td><table><tr><td>inner</table></table>"
+        reference = oracle_parse(markup)
+        assert [oracle_rows(t) for t in reference.find_all("table")] == [
+            [["Brand", "inner"]],
+            [["inner"]],
+        ]
+        assert table_rows(markup) == [[["Brand", "inner"]], [["inner"]]]

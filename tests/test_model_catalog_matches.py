@@ -1,5 +1,8 @@
 """Tests for the catalog container, products, offers and the match store."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.model.attributes import Specification
@@ -108,6 +111,39 @@ class TestProductAndOffer:
         assert offer.category_id is None
         replaced = offer.with_specification(Specification())
         assert replaced.num_attributes() == 0
+
+    def test_offer_copies_pass_every_field_through(self):
+        offer = Offer(
+            "o-1",
+            "m-1",
+            title="A drive",
+            price=9.5,
+            url="http://m.example.com/1",
+            image_url="http://m.example.com/1.png",
+            feed_category="Computing|Storage",
+            category_id="computing.hdd",
+            specification=Specification([("RPM", "7200")]),
+        )
+        specification = Specification([("Brand", "Hitachi")])
+        copied = offer.with_specification(specification)
+        assert copied == dataclasses.replace(offer, specification=specification)
+        assert copied.specification is specification
+        assert offer.with_category("computing.ssd") == dataclasses.replace(
+            offer, category_id="computing.ssd"
+        )
+        assert pickle.loads(pickle.dumps(copied)) == copied
+        # A field added to Offer must be passed through by both copies.
+        assert [field.name for field in dataclasses.fields(Offer)] == [
+            "offer_id",
+            "merchant_id",
+            "title",
+            "price",
+            "url",
+            "image_url",
+            "feed_category",
+            "category_id",
+            "specification",
+        ]
 
 
 class TestMatchStore:

@@ -178,8 +178,9 @@ class TestEngineBasics:
 
 class TestIngestSpans:
     def test_extract_and_reconcile_spans_cover_ingest_wall_time(self, tiny_harness, tiny_corpus):
-        """Every raw-offer batch times its extraction and reconciliation,
-        and the ``ingest.*`` spans account for the ingest wall time."""
+        """Every raw-offer batch times its extraction, reconciliation and
+        seen-marking, and the ``ingest.*`` spans plus ``store.mark_seen``
+        account for the ingest wall time."""
         registry = MetricsRegistry()
         original = set_registry(registry)
         try:
@@ -200,10 +201,12 @@ class TestIngestSpans:
             key[len('span_seconds{span="') : -len('"}')]: series
             for key, series in histograms.items()
             if key.startswith('span_seconds{span="ingest.')
+            or key == 'span_seconds{span="store.mark_seen"}'
         }
         assert fresh_batches == 6
         assert spans["ingest.extract"]["count"] == fresh_batches
         assert spans["ingest.reconcile"]["count"] == fresh_batches
+        assert spans["store.mark_seen"]["count"] == fresh_batches
         covered = sum(series["sum"] for series in spans.values())
         assert covered >= 0.95 * wall, (covered, wall)
 

@@ -214,3 +214,35 @@ def test_rebuild_matches_incremental_builds_across_backends(product_pool):
     finally:
         grown.close()
         rebuilt.close()
+
+
+@pytest.mark.parametrize("backend", [CatalogIndex, FtsCatalogIndex])
+def test_top_k_cuts_through_a_run_of_equal_scores(backend):
+    """More hits tie on score than ``top_k`` keeps: the cut takes the
+    smallest product ids, and every ``top_k`` is a prefix of the full
+    ranking, on both backends."""
+    twins = [make_product(f"tie-{n:02d}", "c", "quantum drive") for n in (7, 3, 11, 0, 9, 5)]
+    weaker = [
+        make_product("a-weak", "c", "quantum drive with a long extra title"),
+        make_product("b-weak", "c", "quantum"),
+    ]
+    index = backend(products=twins + weaker)
+    memory = CatalogIndex(twins + weaker)
+    try:
+        ranking = index.search("quantum drive", top_k=50)
+        assert len(ranking) == 8
+        assert ranking == sorted(ranking, key=lambda r: (-r.score, r.product.product_id))
+        tied = [r.product.product_id for r in ranking if r.score == ranking[0].score]
+        assert tied == sorted(twin.product_id for twin in twins)
+        for top_k in range(1, 9):
+            results = index.search("quantum drive", top_k=top_k)
+            assert results == ranking[:top_k]
+            assert result_fingerprint(results) == result_fingerprint(
+                memory.search("quantum drive", top_k=top_k)
+            )
+        # k = 3 lands inside the tie run: the smallest tied ids win.
+        cut = index.search("quantum drive", top_k=3)
+        assert [r.product.product_id for r in cut] == ["tie-00", "tie-03", "tie-05"]
+    finally:
+        if backend is FtsCatalogIndex:
+            index.close()
